@@ -4,8 +4,7 @@ Subcommands: train, sample, interpolate, perturb, synth, bo.  Every
 subcommand is deterministic given its inputs and --seed; outputs are plain
 files under --out-dir (checkpoints, CSV logs, JSONL molecule sets, DOT
 renderings, JSON metric reports).  Exit codes: 0 success, 1 runtime
-failure, 2 usage or input error.  NEVAE_THREADS caps sampling workers;
-per-draw child seeds keep results identical at any worker count.
+failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,17 +86,6 @@ def _load_checkpoint(cfg: RunConfig) -> Checkpoint:
         raise UsageError(str(err)) from err
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NEVAE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"NEVAE_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("NEVAE_THREADS must be >= 1")
-    return n
-
-
 def _meta(cfg: RunConfig, **extra) -> dict:
     base = {"subcommand": cfg.subcommand, "seed": cfg.seed,
             "mask": cfg.mask_kind,
@@ -121,22 +107,16 @@ def _write_jsonl(path: Path, records) -> None:
 
 def _sample_many(model, count: int, seed: int, mask_kind: str, *,
                  z_for=None, n: int | None = None):
-    """Draw `count` molecules; worker count never changes the draws."""
-    children = np.random.SeedSequence(seed).spawn(count)
-
-    def job(i: int):
-        rng = np.random.default_rng(children[i])
+    """Draw `count` molecules, each from its own child seed of `seed`."""
+    def draw(child):
+        rng = np.random.default_rng(child)
         if z_for is not None:
             return sample_graph(model.decoder, rng, z=z_for(rng), n=n,
                                 mask_kind=mask_kind, table=model.table)
         return sample_graph(model.decoder, rng, lambda_n=model.lambda_n,
                             mask_kind=mask_kind, table=model.table)
 
-    workers = _thread_count()
-    if workers == 1:
-        return [job(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, range(count)))
+    return [draw(c) for c in np.random.SeedSequence(seed).spawn(count)]
 
 
 def _hyper_from(cfg: RunConfig, **overrides) -> Hyperparams:

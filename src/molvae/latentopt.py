@@ -4,9 +4,10 @@ Molecules map to fixed-length embeddings (mean and sum of posterior means),
 a sparse Gaussian process regresses property scores on those embeddings,
 and a batch Bayesian-optimization loop proposes new embeddings by expected
 improvement, decodes them through the masked sampler, and scores the valid
-results.  The sparse GP is the FITC approximation with an RBF kernel; its
-hyperparameters are fitted by gradient ascent on the FITC marginal
-likelihood using the same tape machinery as the VAE.
+results.  The sparse GP is the FITC approximation with an RBF kernel
+(Snelson & Ghahramani 2006).  One Cholesky/Woodbury factorization gives
+both its log marginal likelihood, which L-BFGS-B maximizes over the three
+log-hyperparameters, and the factors that prediction solves against.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 from scipy.special import erf
 
-from . import tensor as T
 from .decoder import sample_graph
 from .encoder import posterior
 from .molgraph import (DEFAULT_TABLE, MolecularGraph, canonical_certificate,
                        valence_ok)
 
 JITTERS = (1e-10, 1e-8, 1e-6)
+HYPER_BOX = 5.0  # half-width of the log-hyperparameter search box
 
 
 def molecule_embedding(post) -> np.ndarray:
@@ -64,47 +65,43 @@ def _kernel_np(a, b, s2f, lengthscale):
     return s2f * np.exp(-0.5 * _sqdist(a, b) / lengthscale ** 2)
 
 
-def _kernel_t(a, b, log_s2f, log_l):
-    d2 = T.Tensor(-0.5 * _sqdist(a, b))
-    return T.mul(T.exp(log_s2f), T.exp(T.mul(d2, T.exp(-2.0 * log_l))))
+def _fitc(x, yc, xu, s2f, lengthscale, noise, jitter):
+    """FITC factors and log marginal likelihood of centred scores ``yc``.
 
-
-def _fitc_log_marginal(x, y, xu, log_s2f, log_l, log_noise, jitter):
-    """FITC log marginal likelihood through the tape.
-
-    Uses the Woodbury identity so every inverse and determinant involves
-    only the inducing-sized matrix.
+    With A = L_uu^-1 K_uf, the FITC covariance is A'A + diag(lam) where
+    lam = diag(K_ff - A'A) + noise.  The Woodbury identity reduces it to
+    B = I + A diag(lam)^-1 A' = L_b L_b', so
+    log det = sum log lam + 2 sum log diag L_b and
+    quadratic term = yc' diag(lam)^-1 yc - c'c with c = L_b^-1 A yc / lam.
+    Returns (l_uu, l_b, lam, c, log marginal likelihood).
     """
-    n = x.shape[0]
     m = xu.shape[0]
-    eye = T.Tensor(np.eye(m) * jitter)
-    kuu = T.add(_kernel_t(xu, xu, log_s2f, log_l), eye)
-    kuf = _kernel_t(xu, x, log_s2f, log_l)
-    kuu_inv = T.matinv(kuu)
-    b = T.matmul(kuu_inv, kuf)
-    qff_diag = T.sum_axis(T.mul(kuf, b), axis=0)
-    lam = T.exp(log_s2f) - qff_diag + T.exp(log_noise)
-    lam_col = T.reshape(lam, (n, 1))
-    ycol = T.Tensor(y[:, None])
-    y_over_lam = T.div(ycol, lam_col)
-    a = T.matmul(kuf, y_over_lam)                       # (m, 1)
-    lam_inv_kfu = T.div(T.transpose(kuf), lam_col)      # (n, m)
-    mmat = T.add(kuu, T.matmul(kuf, lam_inv_kfu))
-    minv = T.matinv(mmat)
-    quad = T.sum_all(T.mul(ycol, y_over_lam)) \
-        - T.reshape(T.matmul(T.transpose(a), T.matmul(minv, a)), ())
-    logdet = T.logdet(mmat) - T.logdet(kuu) + T.sum_all(T.log(lam))
-    return -0.5 * (float(n) * math.log(2.0 * math.pi) + logdet + quad)
+    kuu = _kernel_np(xu, xu, s2f, lengthscale) + jitter * np.eye(m)
+    l_uu = np.linalg.cholesky(kuu)
+    a = solve_triangular(l_uu, _kernel_np(xu, x, s2f, lengthscale), lower=True)
+    lam = s2f - np.einsum("mn,mn->n", a, a) + noise
+    if np.any(lam <= 0.0):
+        raise np.linalg.LinAlgError("non-positive FITC variances")
+    a_l = a / np.sqrt(lam)[None, :]
+    l_b = np.linalg.cholesky(np.eye(m) + a_l @ a_l.T)
+    c = solve_triangular(l_b, a_l @ (yc / np.sqrt(lam)), lower=True)
+    log_det = np.log(lam).sum() + 2.0 * np.log(np.diag(l_b)).sum()
+    quad = yc @ (yc / lam) - c @ c
+    lml = -0.5 * (len(yc) * math.log(2.0 * math.pi) + log_det + quad)
+    return l_uu, l_b, lam, c, float(lml)
 
 
 def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
-            lr: float = 0.05, hypers=None) -> SGPModel:
-    """Fit a FITC sparse GP by Adam ascent on its marginal likelihood.
+            hypers=None) -> SGPModel:
+    """Fit a FITC sparse GP by L-BFGS-B on its log marginal likelihood.
 
     Inducing inputs are drawn from the rows of ``x`` without replacement.
-    ``hypers`` = (signal variance, lengthscale, noise variance) skips the
-    gradient fit and uses those values as given.  Singular kernel matrices
-    escalate through the jitter ladder before failing.
+    The log-hyperparameters start from the data (score variance, median
+    pairwise distance, a tenth of it as noise) and stay within HYPER_BOX
+    of that start: unbounded, degenerate data (constant scores, a handful
+    of points) runs past every jitter.  ``iters`` caps the optimizer's
+    iterations; ``hypers`` = (signal variance, lengthscale, noise variance)
+    skips the fit.  Singular kernels escalate through the jitter ladder.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -118,63 +115,37 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     y_mean = float(y.mean())
     yc = y - y_mean
 
-    var_y = float(yc.var()) + 1e-8
-    d2 = _sqdist(x, x)
-    off = d2[~np.eye(n, dtype=bool)]
-    median_sq = float(np.median(off)) if off.size else 1.0
-    log_s2f = T.Tensor(math.log(var_y))
-    log_l = T.Tensor(0.5 * math.log(max(median_sq, 1e-8)))
-    log_noise = T.Tensor(math.log(0.1 * var_y))
-    params = [log_s2f, log_l, log_noise]
-
     if hypers is not None:
-        s2f, lengthscale, noise = (float(v) for v in hypers)
-        log_s2f.data[...] = math.log(s2f)
-        log_l.data[...] = math.log(lengthscale)
-        log_noise.data[...] = math.log(noise)
+        start = np.log(np.asarray(hypers, dtype=np.float64))
         iters = 0
+    else:
+        var_y = float(yc.var()) + 1e-8
+        off = _sqdist(x, x)[~np.eye(n, dtype=bool)]
+        median_sq = float(np.median(off)) if off.size else 1.0
+        start = np.array([math.log(var_y),
+                          0.5 * math.log(max(median_sq, 1e-8)),
+                          math.log(0.1 * var_y)])
+    bounds = [(v - HYPER_BOX, v + HYPER_BOX) for v in start]
 
-    jitter_idx = 0
-    adam = T.AdamState(params, lr=lr)
-    it = 0
-    while it < iters:
-        try:
-            with T.Tape() as tape:
-                lml = _fitc_log_marginal(x, yc, xu, log_s2f, log_l,
-                                         log_noise, JITTERS[jitter_idx])
-            T.adam_step(adam, tape.gradients(lml, params))
-        except (np.linalg.LinAlgError, FloatingPointError):
-            if jitter_idx + 1 >= len(JITTERS):
-                raise np.linalg.LinAlgError(
-                    "kernel factorization failed at maximum jitter")
-            jitter_idx += 1
-            continue
-        it += 1
+    def neg_lml(log_h, jitter):
+        return -_fitc(x, yc, xu, *np.exp(log_h), jitter)[4]
 
-    s2f = float(np.exp(log_s2f.data))
-    lengthscale = float(np.exp(log_l.data))
-    noise = float(np.exp(log_noise.data))
-    while True:
-        jitter = JITTERS[jitter_idx]
+    for jitter in JITTERS:
         try:
-            kuu = _kernel_np(xu, xu, s2f, lengthscale) + jitter * np.eye(n_inducing)
-            kuf = _kernel_np(xu, x, s2f, lengthscale)
-            l_uu = np.linalg.cholesky(kuu)
-            a = solve_triangular(l_uu, kuf, lower=True)
-            lam = s2f - np.einsum("mn,mn->n", a, a) + noise
-            if np.any(lam <= 0.0):
-                raise np.linalg.LinAlgError("non-positive FITC variances")
-            a_l = a / np.sqrt(lam)[None, :]
-            bmat = np.eye(n_inducing) + a_l @ a_l.T
-            l_b = np.linalg.cholesky(bmat)
-            c = solve_triangular(l_b, a_l @ (yc / np.sqrt(lam)), lower=True)
-            alpha = solve_triangular(
-                l_uu.T, solve_triangular(l_b.T, c, lower=False), lower=False)
+            log_h = start
+            if iters > 0:
+                log_h = minimize(neg_lml, start, args=(jitter,),
+                                 method="L-BFGS-B", bounds=bounds,
+                                 options={"maxiter": iters}).x
+            s2f, lengthscale, noise = (float(v) for v in np.exp(log_h))
+            l_uu, l_b, _, c, _ = _fitc(x, yc, xu, s2f, lengthscale, noise,
+                                       jitter)
             break
         except np.linalg.LinAlgError:
-            if jitter_idx + 1 >= len(JITTERS):
+            if jitter == JITTERS[-1]:
                 raise
-            jitter_idx += 1
+    alpha = solve_triangular(
+        l_uu.T, solve_triangular(l_b.T, c, lower=False), lower=False)
     return SGPModel(inducing=xu, s2f=s2f, lengthscale=lengthscale,
                     noise=noise, jitter=jitter, y_mean=y_mean, alpha=alpha,
                     l_uu=l_uu, l_b=l_b)

@@ -59,7 +59,8 @@ class ValenceRule:
         for (u, v) in state.rejected:
             if open_nodes[u] and open_nodes[v]:
                 count -= 1
-        if exclude is not None and open_nodes[exclude[0]] and open_nodes[exclude[1]]:
+        if exclude is not None and open_nodes[exclude[0]] and open_nodes[exclude[1]] \
+                and exclude not in state.generated and exclude not in state.rejected:
             count -= 1
         return count
 

@@ -74,12 +74,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(wrap(other), self)
 
-    def __truediv__(self, other):
-        return div(self, wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(wrap(other), self)
-
     def __neg__(self):
         return neg(self)
 
@@ -200,18 +194,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", out, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if np.any(b.data == 0.0):
-        raise ZeroDivisionError("div: zero denominator")
-    out = a.data / b.data
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return _unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)
-
-    return _emit("div", out, (a, b), backward)
-
-
 def neg(a: Tensor) -> Tensor:
     def backward(g):
         return (-g,)
@@ -280,39 +262,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _emit("reshape", a.data.reshape(shape), (a,), backward)
 
 
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-
-    def backward(g):
-        return (_unbroadcast(g, orig),)
-
-    return _emit("broadcast_to", np.broadcast_to(a.data, shape).copy(), (a,), backward)
-
-
-def matinv(a: Tensor) -> Tensor:
-    if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
-        raise ValueError("matinv expects a square matrix")
-    inv = np.linalg.inv(a.data)
-
-    def backward(g):
-        return (-inv.T @ g @ inv.T,)
-
-    return _emit("matinv", inv, (a,), backward)
-
-
-def logdet(a: Tensor) -> Tensor:
-    """Log determinant of a positive-definite matrix."""
-    sign, ld = np.linalg.slogdet(a.data)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("logdet: matrix is not positive definite")
-    ad = a.data
-
-    def backward(g):
-        return (g * np.linalg.inv(ad).T,)
-
-    return _emit("logdet", ld, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and reductions
 
@@ -364,7 +313,7 @@ def sum_all(a: Tensor) -> Tensor:
     shape = a.data.shape
 
     def backward(g):
-        return (np.broadcast_to(g, shape).copy(),)
+        return (np.full(shape, g),)
 
     return _emit("sum_all", a.data.sum(), (a,), backward)
 
@@ -375,7 +324,7 @@ def sum_axis(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).copy(),)
+        return (np.full(shape, g),)
 
     return _emit("sum_axis", a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 

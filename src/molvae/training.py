@@ -313,41 +313,60 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+def _check_keys(path, kind: str, found, expected) -> None:
+    """Raise ValueError naming the first key in only one of the two sets."""
+    odd = sorted(set(found) ^ set(expected), key=str)
+    if odd:
+        what = "unknown" if odd[0] in found else "missing"
+        raise ValueError(f"{path}: {what} {kind} {odd[0]!r}")
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    The tensors must be exactly those, in the shapes, that ``hyper`` and
+    ``alphabet`` imply.  Any damage raises ValueError naming the file and
+    the field.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: not a checkpoint file") from exc
-        if header.get("format") != _MAGIC:
+        if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         if header.get("version") != 1:
             raise ValueError(f"{path}: unsupported checkpoint version")
         blob = fh.read()
-    values: dict[str, T.Tensor] = {}
-    for entry in header["tensors"]:
-        start = entry["offset"]
-        arr = np.frombuffer(blob[start:start + entry["size"] * 8], dtype="<f8")
-        if arr.size != entry["size"]:
-            raise ValueError(f"{path}: truncated tensor {entry['name']!r}")
-        values[entry["name"]] = T.Tensor(arr.reshape(entry["shape"]).copy())
-    hyper = Hyperparams(**header["hyper"])
-    table = ValenceTable({s: int(v) for s, v in header["alphabet"]})
-    n_types = len(table.symbols)
-    hops = [values[f"enc.hop{k}"] for k in range(1, hyper.K + 1)]
-    enc = EncoderParams(hops=hops, w_hidden=values["enc.w_hidden"],
-                        b_hidden=values["enc.b_hidden"],
-                        w_mu=values["enc.w_mu"], b_mu=values["enc.b_mu"],
-                        w_sigma=values["enc.w_sigma"],
-                        b_sigma=values["enc.b_sigma"],
-                        D=hyper.D, K=hyper.K, n_types=n_types)
-    dec = DecoderParams(w_type=values["dec.w_type"], b_type=values["dec.b_type"],
-                        w_count=values["dec.w_count"], b_count=values["dec.b_count"],
-                        w_count_out=values["dec.w_count_out"],
-                        b_count_out=values["dec.b_count_out"],
-                        w_edge=values["dec.w_edge"], b_edge=values["dec.b_edge"],
-                        w_order=values["dec.w_order"], b_order=values["dec.b_order"],
-                        D=hyper.D, n_types=n_types)
-    model = ModelParams(enc, dec, float(header["lambda_n"]), table)
-    return Checkpoint(model, hyper, int(header["iteration"]))
+    _check_keys(path, "header field", header, (
+        "format", "version", "iteration", "lambda_n", "hyper", "alphabet",
+        "tensors"))
+    raw_hyper = header["hyper"]
+    if not isinstance(raw_hyper, dict):
+        raise ValueError(f"{path}: field 'hyper' is not an object")
+    _check_keys(path, "hyperparameter", raw_hyper, Hyperparams().as_dict())
+    try:
+        hyper = Hyperparams(**raw_hyper)
+        table = ValenceTable({s: int(v) for s, v in header["alphabet"]})
+        model = init_model(np.random.default_rng(0), hyper, table,
+                           float(header["lambda_n"]))
+        iteration = int(header["iteration"])
+        entries = {e["name"]: e for e in header["tensors"]}
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
+    _check_keys(path, "tensor", entries, [name for name, _ in model.tensors()])
+    for name, t in model.tensors():
+        entry = entries[name]
+        if entry.get("shape") != list(t.shape):
+            raise ValueError(
+                f"{path}: tensor {name!r} has shape {entry.get('shape')},"
+                f" hyper and alphabet imply {list(t.shape)}")
+        start = entry.get("offset")
+        if not isinstance(start, int) or start < 0:
+            raise ValueError(f"{path}: tensor {name!r} has bad offset {start!r}")
+        arr = np.frombuffer(blob[start:start + t.data.size * 8], dtype="<f8")
+        if arr.size != t.data.size:
+            raise ValueError(f"{path}: truncated tensor {name!r}")
+        t.data = arr.reshape(t.shape).copy()
+    return Checkpoint(model, hyper, iteration)

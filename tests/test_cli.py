@@ -113,22 +113,25 @@ def test_sample_posterior_mode(workspace, tmp_path):
         assert rc == 2
 
 
-def test_sample_thread_count_is_immaterial(workspace, tmp_path, monkeypatch):
-    outs = []
-    for threads, sub in (("1", "a"), ("3", "b")):
-        monkeypatch.setenv("NEVAE_THREADS", threads)
-        rc = main(["sample", "--corpus", workspace["corpus_path"],
-                   "--checkpoint", workspace["checkpoint"], "--seed", "9",
-                   "--count", "12", "--out-dir", str(tmp_path / sub)])
-        assert rc == 0
-        outs.append((tmp_path / sub / "samples.jsonl").read_bytes())
-    assert outs[0] == outs[1]
-
-    monkeypatch.setenv("NEVAE_THREADS", "zero")
+@pytest.mark.parametrize("damage, field", [
+    (lambda h: h["hyper"].update(bogus=1), "unknown hyperparameter 'bogus'"),
+    (lambda h: h.update(tensors=h["tensors"][1:]), "missing tensor 'enc.hop1'"),
+    (lambda h: h["hyper"].update(K=1), "unknown tensor 'enc.hop2'"),
+])
+def test_sample_damaged_checkpoint_header(workspace, tmp_path, capsys,
+                                          damage, field):
+    with open(workspace["checkpoint"], "rb") as fh:
+        header_line, _, blob = fh.read().partition(b"\n")
+    header = json.loads(header_line)
+    damage(header)
+    bad = tmp_path / "damaged.bin"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + blob)
     rc = main(["sample", "--corpus", workspace["corpus_path"],
-               "--checkpoint", workspace["checkpoint"], "--seed", "9",
-               "--count", "2", "--out-dir", str(tmp_path / "c")])
+               "--checkpoint", str(bad), "--seed", "1", "--count", "2",
+               "--out-dir", str(tmp_path / "out")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err
 
 
 def test_interpolate_outputs(workspace, tmp_path):

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 
 import molvae.tensor as T
 from molvae.encoder import Posterior, posterior
-from molvae.latentopt import (BOResult, PropertyOracle, _min_cycle_basis_lengths,
-                              bo_loop, expected_improvement,
-                              make_molecule_decoder, molecule_embedding,
+from molvae.latentopt import (BOResult, PropertyOracle, _fitc,
+                              _min_cycle_basis_lengths, bo_loop,
+                              expected_improvement, make_molecule_decoder,
+                              molecule_embedding,
                               proxy_property, sgp_fit, sgp_loglik, sgp_predict)
 from molvae.molgraph import DEFAULT_TABLE, MolecularGraph, random_molecule
 from molvae.training import Hyperparams, init_model
@@ -151,6 +153,51 @@ def test_sgp_duplicate_rows_survive_via_jitter():
     model = sgp_fit(x, y, n_inducing=20, seed=0, hypers=(1.0, 1.0, 1e-9))
     mean, var = sgp_predict(model, base)
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+
+
+def _dense_fitc_log_marginal(x, yc, xu, s2f, lengthscale, noise, jitter):
+    """O(n^3) log N(yc; 0, K_fu K_uu^-1 K_uf + diag(lam)), no Woodbury."""
+
+    def kern(a, b):
+        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        return s2f * np.exp(-0.5 * d2 / lengthscale ** 2)
+
+    kuu = kern(xu, xu) + jitter * np.eye(len(xu))
+    kuf = kern(xu, x)
+    qff = kuf.T @ np.linalg.solve(kuu, kuf)
+    cov = qff + np.diag(s2f - np.diag(qff) + noise)
+    return multivariate_normal(np.zeros(len(yc)), cov).logpdf(yc)
+
+
+@pytest.mark.parametrize("hypers", [(1.3, 0.9, 0.05), (0.4, 1.5, 0.3),
+                                    (2.5, 0.4, 0.01)])
+def test_fitc_log_marginal_matches_dense_density(hypers):
+    rng = np.random.default_rng(12)
+    for n, m in ((30, 7), (12, 12), (5, 1)):
+        x = rng.uniform(-2.0, 2.0, size=(n, 2))
+        yc = rng.standard_normal(n)
+        xu = x[rng.choice(n, size=m, replace=False)]
+        lml = _fitc(x, yc, xu, *hypers, 1e-10)[4]
+        ref = _dense_fitc_log_marginal(x, yc, xu, *hypers, 1e-10)
+        assert abs(lml - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sgp_fit_raises_log_marginal(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((40, 3))
+    y = np.sin(2.0 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(40)
+
+    def lml(model):
+        hypers = (model.s2f, model.lengthscale, model.noise)
+        return _fitc(x, y - y.mean(), model.inducing, *hypers,
+                     model.jitter)[4]
+
+    start = sgp_fit(x, y, n_inducing=15, seed=seed, iters=0)
+    fitted = sgp_fit(x, y, n_inducing=15, seed=seed)
+    assert np.array_equal(start.inducing, fitted.inducing)
+    assert start.jitter == fitted.jitter
+    assert lml(fitted) > lml(start)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """BFS orders, KL, ELBO (incl. a quadrature upper-bound oracle), train loop,
 checkpoint round trips."""
 
+import json
 import math
 import os
 
@@ -405,6 +406,50 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         fh.write('{"format": "something-else"}\n')
     with pytest.raises(ValueError):
         load_checkpoint(p2)
+
+
+def _damaged_checkpoint(tmp_path, damage):
+    """Save a tiny checkpoint, let ``damage`` edit its JSON header in place."""
+    hyper = _tiny_hyper()
+    model = init_model(np.random.default_rng(14), hyper, lambda_n=4.0)
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(path, Checkpoint(model, hyper, 0))
+    with open(path, "rb") as fh:
+        header_line, _, blob = fh.read().partition(b"\n")
+    header = json.loads(header_line)
+    damage(header)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + blob)
+    return path
+
+
+def _drop_tensor(header, name):
+    header["tensors"] = [e for e in header["tensors"] if e["name"] != name]
+
+
+def test_checkpoint_rejects_unknown_hyperparameter(tmp_path):
+    path = _damaged_checkpoint(
+        tmp_path, lambda h: h["hyper"].update(bogus=1))
+    with pytest.raises(ValueError, match="unknown hyperparameter 'bogus'") as exc:
+        load_checkpoint(path)
+    assert path in str(exc.value)
+
+
+def test_checkpoint_rejects_missing_tensor(tmp_path):
+    path = _damaged_checkpoint(
+        tmp_path, lambda h: _drop_tensor(h, "enc.hop1"))
+    with pytest.raises(ValueError, match="missing tensor 'enc.hop1'") as exc:
+        load_checkpoint(path)
+    assert path in str(exc.value)
+
+
+def test_checkpoint_rejects_shape_mismatch(tmp_path):
+    # a wider latent space than the stored tensors were trained with
+    path = _damaged_checkpoint(tmp_path, lambda h: h["hyper"].update(D=5))
+    with pytest.raises(ValueError, match=r"tensor 'enc.hop1' has shape \[4, 4\]"
+                       r", hyper and alphabet imply \[5, 5\]") as exc:
+        load_checkpoint(path)
+    assert path in str(exc.value)
 
 
 def test_checkpoint_detects_truncation(tmp_path):
