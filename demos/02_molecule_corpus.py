@@ -36,9 +36,10 @@ print("relabeled copy shares certificate:", same)
 rng = np.random.default_rng(7)
 corpus = [random_molecule(rng, int(rng.integers(4, 9)), DEFAULT_TABLE)
           for _ in range(20)]
-path = Path(tempfile.mkdtemp()) / "corpus.jsonl"
-write_corpus(corpus, path)
-reloaded = parse_corpus(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "corpus.jsonl"
+    write_corpus(corpus, path)
+    reloaded = parse_corpus(path)
 print(f"wrote and reloaded {len(reloaded)} molecules")
 
 # --- quality metrics against the corpus -----------------------------------

@@ -461,6 +461,7 @@ def cmd_bo(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "bo_trace.json", {
         "history": result.history,
+        "seconds": result.seconds,
         "fraction_valid": result.fraction_valid,
         "fraction_unique": result.fraction_unique,
         "oracle_calls": result.oracle_calls,

@@ -6,24 +6,29 @@ and a batch Bayesian-optimization loop proposes new embeddings by expected
 improvement, decodes them through the masked sampler, and scores the valid
 results.  The sparse GP is the FITC approximation with an RBF kernel
 (Snelson & Ghahramani 2006).  One Cholesky/Woodbury factorization gives
-both its log marginal likelihood, which L-BFGS-B maximizes over the three
-log-hyperparameters, and the factors that prediction solves against.
+its log marginal likelihood with the exact gradient, which L-BFGS-B
+follows over the three log-hyperparameters, and the factors that
+prediction solves against.  The EI ascent also runs L-BFGS-B on the exact
+gradient, through the same predictive equations as ``sgp_predict``.  The
+molecule decoder encodes each seed molecule once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
+from scipy.spatial.distance import pdist
 from scipy.special import erf
 
 from .decoder import sample_graph
 from .encoder import posterior
-from .molgraph import (DEFAULT_TABLE, MolecularGraph, canonical_certificate,
-                       valence_ok)
+from .molgraph import (CERTIFICATE_LIMIT, DEFAULT_TABLE, MolecularGraph,
+                       canonical_certificate, valence_ok)
 
 JITTERS = (1e-10, 1e-8, 1e-6)
 HYPER_BOX = 5.0  # half-width of the log-hyperparameter search box
@@ -66,34 +71,72 @@ def _kernel_np(a, b, s2f, lengthscale):
 
 
 def _fitc(x, yc, xu, s2f, lengthscale, noise, jitter):
-    """FITC factors and log marginal likelihood of centred scores ``yc``.
+    """FITC factors, log marginal likelihood of centred scores ``yc`` and
+    its gradient in (log s2f, log lengthscale, log noise).
 
-    With A = L_uu^-1 K_uf, the FITC covariance is A'A + diag(lam) where
+    With A = L_uu^-1 K_uf, the FITC covariance is C = A'A + diag(lam) where
     lam = diag(K_ff - A'A) + noise.  The Woodbury identity reduces it to
     B = I + A diag(lam)^-1 A' = L_b L_b', so
     log det = sum log lam + 2 sum log diag L_b and
-    quadratic term = yc' diag(lam)^-1 yc - c'c with c = L_b^-1 A yc / lam.
-    Returns (l_uu, l_b, lam, c, log marginal likelihood).
+    quadratic term = yc' diag(lam)^-1 yc - c'c with c = V yc, where
+    V = L_b^-1 A diag(1/lam) and C^-1 = diag(1/lam) - V'V.
+
+    The gradient is 1/2 tr(R dC) with R = alpha alpha' - C^-1 and
+    alpha = C^-1 yc.  Let r = diag(R), R~ = R - diag(r) and P = L_uu^-T A.
+    Since dlam = diag(dK_ff - dQ) + dnoise with Q = A'A,
+    tr(R dC) = 2 sum(G * dK_uf) - sum(G P' * dK_uu) + r'(diag dK_ff + dnoise)
+    with G = P R~ = L_uu^-T H and H = A R~ = (A alpha) alpha' - B^-1 A
+    diag(1/lam) - A diag(r), using A C^-1 = B^-1 A diag(1/lam).
+    Returns (l_uu, l_b, lam, c, log marginal likelihood, gradient).
     """
     m = xu.shape[0]
-    kuu = _kernel_np(xu, xu, s2f, lengthscale) + jitter * np.eye(m)
-    l_uu = np.linalg.cholesky(kuu)
-    a = solve_triangular(l_uu, _kernel_np(xu, x, s2f, lengthscale), lower=True)
+    inv_l2 = 1.0 / lengthscale ** 2
+    d_uu = _sqdist(xu, xu)
+    kuu = s2f * np.exp(-0.5 * inv_l2 * d_uu)
+    l_uu = np.linalg.cholesky(kuu + jitter * np.eye(m))
+    dk_uf = _sqdist(xu, x)
+    kuf = s2f * np.exp(-0.5 * inv_l2 * dk_uf)
+    a = solve_triangular(l_uu, kuf, lower=True)
+    dk_uf *= kuf  # lengthscale^2 dK_uf / dlog lengthscale; frees kuf
+    del kuf
     lam = s2f - np.einsum("mn,mn->n", a, a) + noise
     if np.any(lam <= 0.0):
         raise np.linalg.LinAlgError("non-positive FITC variances")
-    a_l = a / np.sqrt(lam)[None, :]
-    l_b = np.linalg.cholesky(np.eye(m) + a_l @ a_l.T)
-    c = solve_triangular(l_b, a_l @ (yc / np.sqrt(lam)), lower=True)
+    sqrt_lam = np.sqrt(lam)
+    v = a / sqrt_lam
+    l_b = np.linalg.cholesky(np.eye(m) + v @ v.T)
+    v = solve_triangular(l_b, v, lower=True, overwrite_b=True)
+    v /= sqrt_lam
+    c = v @ yc
     log_det = np.log(lam).sum() + 2.0 * np.log(np.diag(l_b)).sum()
     quad = yc @ (yc / lam) - c @ c
     lml = -0.5 * (len(yc) * math.log(2.0 * math.pi) + log_det + quad)
-    return l_uu, l_b, lam, c, float(lml)
+
+    alpha = yc / lam - v.T @ c
+    r = alpha ** 2 - 1.0 / lam + np.einsum("mn,mn->n", v, v)
+    h = solve_triangular(l_b, v, trans="T", lower=True, overwrite_b=True)
+    del v
+    h *= -1.0
+    h += np.outer(solve_triangular(l_b, c, trans="T", lower=True), alpha)
+    h -= a * r
+    g = solve_triangular(l_uu, h, trans="T", lower=True, overwrite_b=True)
+    del h
+    a_gt = a @ g.T
+    gpt = solve_triangular(l_uu, a_gt, trans="T", lower=True)  # (G P')'
+    g_kuf = np.einsum("ij,ji->", l_uu, a_gt)  # sum(G * K_uf), K_uf = L_uu A
+    r_sum = r.sum()
+    grad = 0.5 * np.array([
+        2.0 * g_kuf - np.einsum("ij,ij->", gpt, kuu) + s2f * r_sum,
+        inv_l2 * (2.0 * np.einsum("mn,mn->", g, dk_uf)
+                  - np.einsum("ij,ij,ij->", gpt, kuu, d_uu)),
+        noise * r_sum])
+    return l_uu, l_b, lam, c, float(lml), grad
 
 
 def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
             hypers=None) -> SGPModel:
-    """Fit a FITC sparse GP by L-BFGS-B on its log marginal likelihood.
+    """Fit a FITC sparse GP by L-BFGS-B on its log marginal likelihood,
+    with the exact gradient ``_fitc`` returns alongside it.
 
     Inducing inputs are drawn from the rows of ``x`` without replacement.
     The log-hyperparameters start from the data (score variance, median
@@ -120,7 +163,7 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
         iters = 0
     else:
         var_y = float(yc.var()) + 1e-8
-        off = _sqdist(x, x)[~np.eye(n, dtype=bool)]
+        off = pdist(x, "sqeuclidean")
         median_sq = float(np.median(off)) if off.size else 1.0
         start = np.array([math.log(var_y),
                           0.5 * math.log(max(median_sq, 1e-8)),
@@ -128,18 +171,19 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     bounds = [(v - HYPER_BOX, v + HYPER_BOX) for v in start]
 
     def neg_lml(log_h, jitter):
-        return -_fitc(x, yc, xu, *np.exp(log_h), jitter)[4]
+        lml, grad = _fitc(x, yc, xu, *np.exp(log_h), jitter)[4:]
+        return -lml, -grad
 
     for jitter in JITTERS:
         try:
             log_h = start
             if iters > 0:
-                log_h = minimize(neg_lml, start, args=(jitter,),
+                log_h = minimize(neg_lml, start, args=(jitter,), jac=True,
                                  method="L-BFGS-B", bounds=bounds,
                                  options={"maxiter": iters}).x
             s2f, lengthscale, noise = (float(v) for v in np.exp(log_h))
-            l_uu, l_b, _, c, _ = _fitc(x, yc, xu, s2f, lengthscale, noise,
-                                       jitter)
+            l_uu, l_b, _, c, _, _ = _fitc(x, yc, xu, s2f, lengthscale,
+                                          noise, jitter)
             break
         except np.linalg.LinAlgError:
             if jitter == JITTERS[-1]:
@@ -151,9 +195,11 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
                     l_uu=l_uu, l_b=l_b)
 
 
-def sgp_predict(model: SGPModel, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean and observation variance (latent variance + noise)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+def _predictive(model: SGPModel, xs):
+    """The FITC predictive equations at the rows of ``xs``: returns the
+    kernel rows k (p, m), t1 = L_uu^-1 k', t2 = L_b^-1 t1, the mean
+    k alpha + y_mean and the observation variance
+    max(s2f - |t1|^2 + |t2|^2, 0) + noise."""
     ks = _kernel_np(xs, model.inducing, model.s2f, model.lengthscale)
     mean = ks @ model.alpha + model.y_mean
     t1 = solve_triangular(model.l_uu, ks.T, lower=True)
@@ -161,7 +207,13 @@ def sgp_predict(model: SGPModel, xs) -> tuple[np.ndarray, np.ndarray]:
     q = np.einsum("mn,mn->n", t1, t1)
     corr = np.einsum("mn,mn->n", t2, t2)
     var = np.maximum(model.s2f - q + corr, 0.0) + model.noise
-    return mean, var
+    return ks, t1, t2, mean, var
+
+
+def sgp_predict(model: SGPModel, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive mean and observation variance (latent variance + noise)."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    return _predictive(model, xs)[3:]
 
 
 def sgp_loglik(model: SGPModel, xs, ys) -> np.ndarray:
@@ -187,10 +239,39 @@ def expected_improvement(mean, variance, best) -> np.ndarray:
     pos = sd > 0.0
     if np.any(pos):
         z = (mean - best) / np.where(pos, sd, 1.0)
-        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        big_phi = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+        phi, big_phi = _normal_pdf_cdf(z)
         out = np.where(pos, sd * (z * big_phi + phi), out)
     return out
+
+
+def _normal_pdf_cdf(z):
+    return (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
+            0.5 * (1.0 + erf(z / math.sqrt(2.0))))
+
+
+def _neg_ei(v, model: SGPModel, best):
+    """-EI at the point ``v`` and its gradient, the EI ascent's objective.
+
+    With dk/dv = -k (v - u) / lengthscale^2 per inducing input u, the mean
+    has gradient alpha' dk/dv and the variance -2 (W k)' dk/dv, where
+    W k = L_uu^-T (t1 - L_b^-T t2); the variance is flat where it is
+    clipped at zero.  Then grad EI = Phi(z) grad mean
+    + phi(z) grad var / (2 sd).
+    """
+    ks, t1, t2, mean, var = _predictive(model, v[None, :])
+    ei = float(expected_improvement(mean, var, best)[0])
+    dk = ks.T * (model.inducing - v) / model.lengthscale ** 2
+    d_mean = model.alpha @ dk
+    sd = math.sqrt(var[0])  # > 0: a fitted noise variance is positive
+    d_var = np.zeros_like(v)
+    if var[0] > model.noise:
+        wk = solve_triangular(
+            model.l_uu,
+            t1 - solve_triangular(model.l_b, t2, trans="T", lower=True),
+            trans="T", lower=True)
+        d_var = -2.0 * (wk[:, 0] @ dk)
+    phi, big_phi = _normal_pdf_cdf((mean[0] - best) / sd)
+    return -ei, -(big_phi * d_mean + phi * d_var / (2.0 * sd))
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +398,23 @@ class BOResult:
     fraction_valid: float
     fraction_unique: float
     oracle_calls: int
-    history: list  # per-iteration dicts
+    history: list  # per-iteration dicts, deterministic for a given seed
+    seconds: list  # per-iteration wall times of fit, propose, decode, oracle
 
 
 def _propose_by_ei(model: SGPModel, x, best, count, rng, n_starts=8):
+    """``count`` distinct proposals and the largest EI found.
+
+    L-BFGS-B ascends EI on its exact gradient (``_neg_ei``) from the
+    ``n_starts`` best points of a random pool plus the training rows,
+    inside the data's bounding box widened by half its span.  Random
+    points fill the batch when the ascents collapse onto fewer optima.
+    """
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     span = np.maximum(hi - lo, 1e-6)
     lo = lo - 0.5 * span
     hi = hi + 0.5 * span
-
-    def neg_ei(v):
-        m, s2 = sgp_predict(model, v[None, :])
-        return -float(expected_improvement(m, s2, best)[0])
 
     pool = rng.uniform(lo, hi, size=(max(64, 16 * x.shape[1]), x.shape[1]))
     pool = np.vstack([pool, x])  # training rows seed ascent near the data
@@ -337,8 +422,8 @@ def _propose_by_ei(model: SGPModel, x, best, count, rng, n_starts=8):
     starts = pool[np.argsort(-ei_pool)[:n_starts]]
     found = []
     for s in starts:
-        res = minimize(neg_ei, s, method="L-BFGS-B",
-                       bounds=list(zip(lo, hi)))
+        res = minimize(_neg_ei, s, args=(model, best), jac=True,
+                       method="L-BFGS-B", bounds=list(zip(lo, hi)))
         found.append((-res.fun, res.x))
     found.sort(key=lambda t: -t[0])
     picked: list[np.ndarray] = []
@@ -349,7 +434,15 @@ def _propose_by_ei(model: SGPModel, x, best, count, rng, n_starts=8):
             break
     while len(picked) < count:
         picked.append(rng.uniform(lo, hi))
-    return picked
+    return picked, float(found[0][0])
+
+
+def _molecule_key(g: MolecularGraph):
+    """Isomorphism certificate; above the certificate's size limit, the
+    labelled graph itself, so that only exact duplicates merge."""
+    if g.n > CERTIFICATE_LIMIT:
+        return (g.atom_types, g.bonds)
+    return canonical_certificate(g)
 
 
 def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
@@ -363,7 +456,9 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
     local refinement), decodes each to a molecule, and scores the valid
     ones with the oracle.  Decode failures (None) and invalid decodes are
     recorded, never scored.  The result ranks unique valid molecules by
-    score, best first.
+    score, best first.  ``history`` records each iteration's fitted GP
+    and largest EI; ``seconds`` its wall times, kept apart because they
+    differ between otherwise identical runs.
     """
     x = np.asarray(train_embeddings, dtype=np.float64)
     y = np.asarray(train_scores, dtype=np.float64).ravel()
@@ -372,18 +467,23 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
         # pass a stricter gate (connectivity etc.) through valid_fn
         valid_fn = lambda g: g.n >= 1 and valence_ok(g)
     if key_fn is None:
-        key_fn = canonical_certificate
+        key_fn = _molecule_key
     rng = np.random.default_rng(seed)
     scored: dict[object, tuple[MolecularGraph, float]] = {}
     history = []
+    seconds = []
     oracle_calls = 0
     n_decoded = 0
     n_valid = 0
     for it in range(iters):
         m_ind = min(n_inducing or len(x), len(x))
+        t0 = perf_counter()
         model = sgp_fit(x, y, m_ind, seed=seed + it)
+        t1 = perf_counter()
         best = float(y.max())
-        proposals = _propose_by_ei(model, x, best, batch, rng)
+        proposals, max_ei = _propose_by_ei(model, x, best, batch, rng)
+        t2 = perf_counter()
+        t_oracle = 0.0
         new_x, new_y = [], []
         n_failed = 0
         for v in proposals:
@@ -395,7 +495,9 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
             if not valid_fn(g):
                 continue
             n_valid += 1
+            t_call = perf_counter()
             score = float(oracle(g))
+            t_oracle += perf_counter() - t_call
             oracle_calls += 1
             new_x.append(v)
             new_y.append(score)
@@ -407,7 +509,13 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
             y = np.concatenate([y, np.array(new_y)])
         history.append({"iteration": it, "proposed": len(proposals),
                         "decoded": n_decoded, "failed": n_failed,
-                        "best_so_far": float(y.max())})
+                        "best_so_far": float(y.max()), "s2f": model.s2f,
+                        "lengthscale": model.lengthscale,
+                        "noise": model.noise, "jitter": model.jitter,
+                        "max_ei": max_ei})
+        seconds.append({"iteration": it, "fit": t1 - t0, "propose": t2 - t1,
+                        "decode": perf_counter() - t2 - t_oracle,
+                        "oracle": t_oracle})
     ranked = sorted(scored.values(), key=lambda t: -t[1])
     return BOResult(
         ranked=ranked,
@@ -415,6 +523,7 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
         fraction_unique=(len(scored) / n_valid) if n_valid else 0.0,
         oracle_calls=oracle_calls,
         history=history,
+        seconds=seconds,
     )
 
 
@@ -425,21 +534,26 @@ def make_molecule_decoder(model_params, molecules, embeddings, rng,
     The closest training embedding supplies a seed molecule; its per-node
     posterior means are shifted by the proposal's mean-half delta, latents
     are resampled around the shifted means, and the masked sampler decodes
-    them.  Returns a closure suitable for ``bo_loop``.
+    them.  Each seed molecule is encoded once, on first use, and its
+    posterior kept for later decodes.  Returns a closure suitable for
+    ``bo_loop``.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     if len(molecules) != emb.shape[0]:
         raise ValueError("one embedding per molecule required")
     D = model_params.encoder.D
+    encoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def decode(v: np.ndarray):
         v = np.asarray(v, dtype=np.float64)
         nearest = int(np.argmin(((emb - v) ** 2).sum(axis=1)))
-        seed_mol = molecules[nearest]
-        post = posterior(seed_mol, model_params.encoder, model_params.table)
-        delta = v[:D] - emb[nearest][:D]
-        mu = post.mu.data + delta
-        z = mu + post.sigma.data * rng.standard_normal(mu.shape)
+        if nearest not in encoded:
+            post = posterior(molecules[nearest], model_params.encoder,
+                             model_params.table)
+            encoded[nearest] = (post.mu.data, post.sigma.data)
+        mu, sigma = encoded[nearest]
+        mu = mu + (v[:D] - emb[nearest][:D])
+        z = mu + sigma * rng.standard_normal(mu.shape)
         try:
             g, _ = sample_graph(model_params.decoder, rng, z=z,
                                 mask_kind=mask_kind, table=model_params.table)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 BOND_ORDERS = (1, 2, 3)
+CERTIFICATE_LIMIT = 64  # largest molecule canonical_certificate accepts
 
 
 class ValenceTable:
@@ -126,6 +127,7 @@ class QualityMetrics:
     uniqueness: float
     n_samples: int
     n_valid: int
+    n_uncertified: int  # valid samples above CERTIFICATE_LIMIT
 
     def as_dict(self) -> dict:
         return {
@@ -134,6 +136,7 @@ class QualityMetrics:
             "uniqueness": self.uniqueness,
             "n_samples": self.n_samples,
             "n_valid": self.n_valid,
+            "n_uncertified": self.n_uncertified,
         }
 
 
@@ -346,7 +349,8 @@ def _component_certificate(atoms, adj, leaf_budget=200000):
     return best[0]
 
 
-def canonical_certificate(g: MolecularGraph, limit: int = 64) -> bytes:
+def canonical_certificate(g: MolecularGraph,
+                          limit: int = CERTIFICATE_LIMIT) -> bytes:
     """Exact isomorphism certificate: equal bytes iff graphs are isomorphic.
 
     Components are canonicalized independently and combined as a sorted
@@ -372,11 +376,14 @@ def canonical_certificate(g: MolecularGraph, limit: int = 64) -> bytes:
 def compute_metrics(samples, corpus, table: ValenceTable | None = None) -> QualityMetrics:
     """Validity, novelty, and uniqueness of a sample set against a corpus.
 
-    Validity is the fraction of samples passing validate_molecule.  Novelty
-    counts valid samples (with multiplicity) whose certificate appears in
-    the corpus; uniqueness is the number of distinct valid certificates over
-    the total sample count.  With no valid samples, novelty and uniqueness
-    are reported as 0.0.
+    Validity is the fraction of samples passing validate_molecule.  Valid
+    samples above CERTIFICATE_LIMIT atoms get no certificate and are
+    counted as ``n_uncertified``; corpus molecules above it are skipped,
+    since no certified sample can match one.  Novelty is the fraction of
+    certified valid samples (with multiplicity) whose certificate is not
+    in the corpus; uniqueness is the number of distinct certificates over
+    the total sample count.  With no certified valid samples, novelty and
+    uniqueness are reported as 0.0.
     """
     samples = list(samples)
     if not samples:
@@ -384,14 +391,19 @@ def compute_metrics(samples, corpus, table: ValenceTable | None = None) -> Quali
     table = table or DEFAULT_TABLE
     valid = [g for g in samples if validate_molecule(g, table).valid]
     validity = len(valid) / len(samples)
-    if not valid:
-        return QualityMetrics(validity, 0.0, 0.0, len(samples), 0)
-    corpus_certs = {canonical_certificate(g) for g in corpus}
-    valid_certs = [canonical_certificate(g) for g in valid]
+    certified = [g for g in valid if g.n <= CERTIFICATE_LIMIT]
+    n_uncertified = len(valid) - len(certified)
+    if not certified:
+        return QualityMetrics(validity, 0.0, 0.0, len(samples), len(valid),
+                              n_uncertified)
+    corpus_certs = {canonical_certificate(g) for g in corpus
+                    if g.n <= CERTIFICATE_LIMIT}
+    valid_certs = [canonical_certificate(g) for g in certified]
     known = sum(1 for c in valid_certs if c in corpus_certs)
-    novelty = 1.0 - known / len(valid)
+    novelty = 1.0 - known / len(certified)
     uniqueness = len(set(valid_certs)) / len(samples)
-    return QualityMetrics(validity, novelty, uniqueness, len(samples), len(valid))
+    return QualityMetrics(validity, novelty, uniqueness, len(samples),
+                          len(valid), n_uncertified)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,13 @@ def test_bo_outputs(workspace, tmp_path):
     trace = json.loads((tmp_path / "bo_trace.json").read_text())
     assert trace["fraction_valid"] == 1.0   # valence masking during decode
     assert {"held_out_loglik", "held_out_rmse"} <= set(trace["sgp"])
+    assert [h["iteration"] for h in trace["history"]] == [0, 1]
+    for h in trace["history"]:
+        assert {"s2f", "lengthscale", "noise", "jitter", "max_ei"} <= set(h)
+        assert not {"fit", "propose", "decode", "oracle"} & set(h)
+    assert [s["iteration"] for s in trace["seconds"]] == [0, 1]
+    for s in trace["seconds"]:
+        assert all(s[k] >= 0.0 for k in ("fit", "propose", "decode", "oracle"))
     with open(tmp_path / "bo_scores.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["rank", "score", "n_atoms"]

@@ -8,8 +8,10 @@ from scipy.stats import multivariate_normal
 
 import molvae.tensor as T
 from molvae.encoder import Posterior, posterior
+import molvae.latentopt as latentopt
+from molvae.decoder import sample_graph
 from molvae.latentopt import (BOResult, PropertyOracle, _fitc,
-                              _min_cycle_basis_lengths, bo_loop,
+                              _min_cycle_basis_lengths, _neg_ei, bo_loop,
                               expected_improvement, make_molecule_decoder,
                               molecule_embedding,
                               proxy_property, sgp_fit, sgp_loglik, sgp_predict)
@@ -182,6 +184,28 @@ def test_fitc_log_marginal_matches_dense_density(hypers):
         assert abs(lml - ref) <= 1e-9 * abs(ref)
 
 
+@pytest.mark.parametrize("n,m,hypers,jitter", [
+    (30, 10, (1.3, 0.9, 0.05), 1e-10),
+    (30, 30, (0.4, 1.5, 0.3), 1e-8),
+    (60, 25, (2.5, 0.4, 0.01), 1e-6),
+    (8, 8, (1.0, 2.0, 1e-3), 1e-6),
+    (5, 1, (0.7, 0.6, 0.2), 1e-10),
+])
+def test_fitc_gradient_matches_central_differences(n, m, hypers, jitter):
+    rng = np.random.default_rng(n + m)
+    x = rng.uniform(-2.0, 2.0, size=(n, 3))
+    yc = rng.standard_normal(n)
+    xu = x[rng.choice(n, size=m, replace=False)]
+    log_h = np.log(hypers)
+    grad = _fitc(x, yc, xu, *hypers, jitter)[5]
+    step = 1e-5
+    fd = np.array([
+        (_fitc(x, yc, xu, *np.exp(log_h + e), jitter)[4]
+         - _fitc(x, yc, xu, *np.exp(log_h - e), jitter)[4]) / (2.0 * step)
+        for e in step * np.eye(3)])
+    assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sgp_fit_raises_log_marginal(seed):
     rng = np.random.default_rng(seed)
@@ -227,6 +251,32 @@ def test_ei_matches_monte_carlo():
         assert abs(ei - mc) / mc < 0.01
 
 
+def test_ei_objective_matches_predict_and_gradient():
+    rng = np.random.default_rng(10)
+    checked = 0
+    for n, m, d in ((40, 15, 3), (25, 25, 2), (30, 6, 8)):
+        x = rng.standard_normal((n, d))
+        y = np.sin(x[:, 0]) + x[:, 1] ** 2
+        model = sgp_fit(x, y, n_inducing=m, seed=0)
+        best = float(y.max())
+        for _ in range(8):
+            v = 1.5 * rng.standard_normal(d)
+            value, grad = _neg_ei(v, model, best)
+            mean, var = sgp_predict(model, v)
+            ref = expected_improvement(mean, var, best)[0]
+            assert abs(value + ref) <= 1e-12 * max(1.0, ref)
+            if ref < 1e-6:   # far tail: EI and its differences underflow
+                continue
+            assert var[0] > model.noise
+            step = 1e-6
+            fd = np.array([(_neg_ei(v + e, model, best)[0]
+                            - _neg_ei(v - e, model, best)[0]) / (2.0 * step)
+                           for e in step * np.eye(d)])
+            assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
+            checked += 1
+    assert checked >= 10
+
+
 def test_ei_nonnegative_and_monotone_in_mean():
     means = np.linspace(-5.0, 5.0, 201)
     ei = expected_improvement(means, np.full_like(means, 0.49), 0.3)
@@ -268,6 +318,17 @@ def test_bo_1d_toy_finds_optimum():
     assert best_score == pytest.approx(f(best_tok.x))
     trace = [h["best_so_far"] for h in result.history]
     assert trace == sorted(trace)
+    for h, sec in zip(result.history, result.seconds, strict=True):
+        assert h["s2f"] > 0 and h["lengthscale"] > 0 and h["noise"] > 0
+        assert h["jitter"] in latentopt.JITTERS and h["max_ei"] >= 0.0
+        assert sec["iteration"] == h["iteration"]
+        assert all(sec[k] >= 0.0 for k in ("fit", "propose", "decode",
+                                           "oracle"))
+    again = bo_loop(x0, y0, decode_fn=lambda v: _Token(v[0]),
+                    oracle=lambda tok: f(tok.x),
+                    iters=5, batch=5, seed=11, valid_fn=lambda tok: True,
+                    key_fn=lambda tok: round(tok.x, 9))
+    assert again.history == result.history
 
 
 def test_bo_never_scores_invalid():
@@ -329,6 +390,76 @@ def test_bo_dedup_by_certificate():
                      iters=1, batch=6, seed=2)
     assert len(result.ranked) == 1
     assert result.fraction_unique == pytest.approx(1.0 / 6.0)
+
+
+def test_bo_scores_molecules_above_certificate_limit():
+    chain = MolecularGraph(("C",) * 70, [(i, i + 1, 1) for i in range(69)])
+    relabeled = chain.relabel([35] + list(range(1, 35)) + [0]
+                              + list(range(36, 70)))
+    assert relabeled != chain
+    decodes = [chain, chain, relabeled, None]
+    state = {"i": 0}
+
+    def decode(v):
+        out = decodes[state["i"] % 4]
+        state["i"] += 1
+        return out
+
+    result = bo_loop(np.linspace(-1, 1, 5)[:, None], np.zeros(5),
+                     decode_fn=decode, oracle=lambda g: float(g.n),
+                     iters=1, batch=4, seed=3)
+    assert result.oracle_calls == 3
+    # keyed by the labelled graph: the exact duplicate merges, the
+    # relabelled copy does not
+    assert [g for g, _ in result.ranked] in ([chain, relabeled],
+                                             [relabeled, chain])
+
+
+def _encoding_model_and_corpus():
+    model = init_model(np.random.default_rng(17),
+                       Hyperparams(D=4, K=2, iterations=1))
+    mols = [random_molecule(np.random.default_rng(200 + s), 5 + s % 3,
+                            DEFAULT_TABLE) for s in range(6)]
+    embs = np.array([molecule_embedding(posterior(g, model.encoder,
+                                                  model.table))
+                     for g in mols])
+    return model, mols, embs
+
+
+def test_molecule_decoder_encodes_each_seed_once(monkeypatch):
+    model, mols, embs = _encoding_model_and_corpus()
+    D = model.encoder.D
+
+    def reencoding_decoder(rng):
+        # the decode step as it reads without the posterior store
+        def decode(v):
+            nearest = int(np.argmin(((embs - v) ** 2).sum(axis=1)))
+            post = posterior(mols[nearest], model.encoder, model.table)
+            mu = post.mu.data + (v[:D] - embs[nearest][:D])
+            z = mu + post.sigma.data * rng.standard_normal(mu.shape)
+            return sample_graph(model.decoder, rng, z=z, mask_kind="valence",
+                                table=model.table)[0]
+        return decode
+
+    calls = []
+
+    def counting_posterior(g, *args):
+        calls.append(g)
+        return posterior(g, *args)
+
+    monkeypatch.setattr(latentopt, "posterior", counting_posterior)
+    cached = make_molecule_decoder(model, mols, embs,
+                                   np.random.default_rng(23))
+    reference = reencoding_decoder(np.random.default_rng(23))
+    prop = np.random.default_rng(29)
+    nearest = set()
+    for _ in range(30):
+        v = embs[prop.integers(len(mols))] + 0.05 * prop.standard_normal(
+            embs.shape[1])
+        nearest.add(int(np.argmin(((embs - v) ** 2).sum(axis=1))))
+        got, want = cached(v), reference(v)
+        assert (got.atom_types, got.bonds) == (want.atom_types, want.bonds)
+    assert len(calls) == len(nearest) < 30
 
 
 def test_molecule_pipeline_decodes_valid():

@@ -179,6 +179,22 @@ def test_metrics_hand_counts():
         M.compute_metrics([], [a])
 
 
+def test_metrics_count_samples_above_certificate_limit():
+    a = M.MolecularGraph(("C", "O"), ((0, 1, 1),))
+    b = M.MolecularGraph(("C", "N"), ((0, 1, 1),))
+    chain = M.MolecularGraph(("C",) * 70, [(i, i + 1, 1) for i in range(69)])
+    bad = M.MolecularGraph(("O", "C", "C"), ((0, 1, 2), (0, 2, 1)))
+    m = M.compute_metrics([a, chain, b, chain, bad], [a, chain])
+    assert m.n_valid == 4 and m.n_uncertified == 2
+    assert m.as_dict()["n_uncertified"] == 2
+    assert m.validity == pytest.approx(4 / 5)
+    assert m.novelty == pytest.approx(1 / 2)       # over {a, b}: a is known
+    assert m.uniqueness == pytest.approx(2 / 5)    # {a, b} over 5 samples
+    only_big = M.compute_metrics([chain], [chain])
+    assert (only_big.novelty, only_big.uniqueness,
+            only_big.n_uncertified) == (0.0, 0.0, 1)
+
+
 def test_metrics_invariant_under_sample_relabeling():
     rng = np.random.default_rng(3)
     corpus = [M.random_molecule(rng, 8) for _ in range(10)]
