@@ -21,8 +21,8 @@ import numpy as np
 from .decoder import sample_graph
 from .encoder import posterior
 from .latentopt import (PropertyOracle, bo_loop, make_molecule_decoder,
-                        molecule_embedding, proxy_property, sgp_fit,
-                        sgp_loglik, sgp_predict)
+                        molecule_embedding, proxy_property, sgp_loglik,
+                        sgp_predict)
 from .molgraph import (DEFAULT_TABLE, MolecularGraph, compute_metrics,
                        graph_to_obj, parse_corpus, random_molecule, to_dot,
                        valence_ok, write_corpus)
@@ -119,6 +119,20 @@ def _sample_many(model, count: int, seed: int, mask_kind: str, *,
     return [draw(c) for c in np.random.SeedSequence(seed).spawn(count)]
 
 
+def _sampler_record(traces) -> dict:
+    """How often the masked sampler stopped early or rejected a pair, and
+    how many edges it was asked for against how many it placed."""
+    count = len(traces)
+    return {
+        "draws": count,
+        "early_stop_frac": sum(tr.early_stopped for tr in traces) / count,
+        "rejects_per_draw": sum(kind == "reject" for tr in traces
+                                for kind, _, _ in tr.steps) / count,
+        "requested_edges_mean": sum(tr.edge_count for tr in traces) / count,
+        "realised_edges_mean": sum(len(tr.edges) for tr in traces) / count,
+    }
+
+
 def _hyper_from(cfg: RunConfig, **overrides) -> Hyperparams:
     opts = cfg.options
     fields = dict(D=opts["D"], K=opts["K"], L=opts["L"], lr=opts["lr"],
@@ -198,6 +212,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     valence_validity = sum(
         1 for g in samples if g.n >= 1 and valence_ok(g, model.table)) / count
     report = {**qm.as_dict(), "valence_validity": valence_validity,
+              "sampler": _sampler_record([tr for _, tr in draws]),
               "meta": _meta(cfg, mode=cfg.options["mode"], count=count)}
     _write_json(cfg.out_dir / "metrics.json", report)
     print(f"sampled {count} molecules ({mode}); valence validity"
@@ -429,6 +444,8 @@ def cmd_bo(cfg: RunConfig) -> int:
         raise UsageError("bo needs a corpus of at least 3 molecules")
     model = ckpt.model
     opts = cfg.options
+    if opts["iters"] < 1:
+        raise UsageError("--iters must be >= 1")
     embeddings = np.array([
         molecule_embedding(posterior(g, model.encoder, model.table))
         for g in corpus])
@@ -446,17 +463,16 @@ def cmd_bo(cfg: RunConfig) -> int:
     x_te, y_te = embeddings[test_ids], scores[test_ids]
 
     n_inducing = min(opts["inducing"], len(x_tr))
-    sgp = sgp_fit(x_tr, y_tr, n_inducing, seed=cfg.seed)
-    mean_te, _ = sgp_predict(sgp, x_te)
-    rmse = float(np.sqrt(np.mean((mean_te - y_te) ** 2)))
-    loglik = float(np.mean(sgp_loglik(sgp, x_te, y_te)))
-
     decode = make_molecule_decoder(
         model, [corpus[i] for i in train_ids], x_tr,
         np.random.default_rng(cfg.seed + 1), mask_kind=cfg.mask_kind)
     result = bo_loop(x_tr, y_tr, decode_fn=decode, oracle=oracle,
                      iters=opts["iters"], batch=opts["batch_size"],
                      seed=cfg.seed, n_inducing=n_inducing)
+    # the held-out fit is iteration 0's GP: the training rows, same seed
+    mean_te, _ = sgp_predict(result.initial_model, x_te)
+    rmse = float(np.sqrt(np.mean((mean_te - y_te) ** 2)))
+    loglik = float(np.mean(sgp_loglik(result.initial_model, x_te, y_te)))
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out_dir / "bo_trace.json", {

@@ -4,7 +4,12 @@ Given per-node latents Z, the decoder factorizes a labeled graph as: atom
 types (per-node softmax), an edge count (Poisson with a permutation-invariant
 log rate), then one (edge, bond-order) pair per step, each a masked softmax
 over the surviving candidates.  The same log-probability code serves taped
-training (exact or negative-sampled edge partitions) and untaped sampling.
+training (exact or negative-sampled edge partitions) and untaped scoring.
+
+Sampling does not go through the tape.  The edge and bond-order heads are
+linear in z_u + z_v, so ``draw_heads`` evaluates every head once per draw
+in plain numpy from one projection per node, and each step only indexes
+those arrays at its candidates.
 
 Sampling with a mask state guarantees the masked property by construction:
 masked pairs and orders are never proposed, a pair with no allowed order is
@@ -100,7 +105,8 @@ def edge_count_dist(z: T.Tensor, params: DecoderParams) -> tuple[T.Tensor, T.Ten
     return T.exp(log_rate), log_rate
 
 
-def poisson_logpmf(k: int, rate: T.Tensor, log_rate: T.Tensor) -> T.Tensor:
+def poisson_logpmf(k: int, rate, log_rate):
+    """log Poisson(k; rate), for Tensors or plain floats alike."""
     return float(k) * log_rate - rate - math.lgamma(k + 1)
 
 
@@ -211,11 +217,57 @@ def graph_logprob(g: MolecularGraph, z: T.Tensor, edge_sequence,
 # ---------------------------------------------------------------------------
 # sampling
 
+@dataclass(frozen=True)
+class DrawHeads:
+    """Every head of one draw as a plain array."""
+
+    types: np.ndarray   # n x n_types: row u is type_logits row u
+    rate: float         # edge_count_dist
+    log_rate: float
+    edges: np.ndarray   # n x n: [u, v] is edge_logits of (u, v)
+    orders: np.ndarray  # n x n x 3: [u, v] is order_logits of (u, v)
+
+
+def _check_finite(head: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(f"non-finite {head} head in sample_graph")
+
+
+def draw_heads(z: np.ndarray, params: DecoderParams) -> DrawHeads:
+    """``type_logits``, ``edge_count_dist``, ``edge_logits`` and
+    ``order_logits`` for every node and pair of ``z``, off the tape.
+
+    The pair heads are linear in z_u + z_v, so they come from one projection
+    per node: softplus(a_u + a_v + b) with a = z w^T.  Each array is checked
+    once for finite values (a FloatingPointError names the head), and the
+    rate's exp raises on overflow as ``T.exp`` does.
+    """
+    softplus = T.softplus_array
+    types = softplus(z @ params.w_type.data.T + params.b_type.data)
+    _check_finite("type", types)
+    h = softplus(z @ params.w_count.data.T + params.b_count.data)
+    pooled = h.sum(axis=0).reshape(1, -1)
+    log_rate = (pooled @ params.w_count_out.data.T).reshape(()) + params.b_count_out.data
+    _check_finite("edge count", log_rate)
+    rate = T.exp_array(log_rate)
+    a = z @ params.w_edge.data[0]
+    edges = softplus(a[:, None] + a[None, :] + params.b_edge.data)
+    _check_finite("edge", edges)
+    o = z @ params.w_order.data.T
+    orders = softplus(o[:, None, :] + o[None, :, :] + params.b_order.data)
+    _check_finite("bond order", orders)
+    return DrawHeads(types, float(rate), float(log_rate), edges, orders)
+
+
 def _softmax_choice(rng: np.random.Generator, logits: np.ndarray) -> tuple[int, float]:
+    """Draw from softmax(logits) by inverse CDF: the arithmetic of
+    ``rng.choice(len(p), p=p)``, so seeded draws match it."""
     shifted = logits - logits.max()
     p = np.exp(shifted)
     p = p / p.sum()
-    idx = int(rng.choice(len(p), p=p))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    idx = int(cdf.searchsorted(rng.random(), side="right"))
     return idx, float(np.log(p[idx]))
 
 
@@ -228,6 +280,9 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
     Provide ``z`` (and implicitly n) to decode a fixed latent set, ``n`` to
     fix the size only, or ``lambda_n`` to draw n from a zero-truncated
     Poisson.  The trace records every choice with its log-probability.
+    The heads come from ``draw_heads``, once per draw and without the tape;
+    a non-finite head, including one from a non-finite ``z``, raises
+    FloatingPointError.
     """
     table = table or DEFAULT_TABLE
     steps: list[tuple[str, object, float]] = []
@@ -252,21 +307,18 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
         raise ValueError("cannot sample an empty graph")
     if z is None:
         z = rng.standard_normal((n, params.D))
-    zt = T.Tensor(z)
+    heads = draw_heads(z, params)
 
-    tl = type_logits(zt, params).data
     symbols = table.symbols
     atoms = []
     for u in range(n):
-        idx, logp = _softmax_choice(rng, tl[u])
+        idx, logp = _softmax_choice(rng, heads.types[u])
         atoms.append(symbols[idx])
         steps.append(("feature", (u, symbols[idx]), logp))
     atoms = tuple(atoms)
 
-    rate, log_rate = edge_count_dist(zt, params)
-    l = int(rng.poisson(rate.item()))
-    steps.append(("edge_count", l,
-                  float(poisson_logpmf(l, rate, log_rate).item())))
+    l = int(rng.poisson(heads.rate))
+    steps.append(("edge_count", l, poisson_logpmf(l, heads.rate, heads.log_rate)))
 
     state = make_state(mask_kind, atom_types=atoms, table=table)
     edges: list[tuple[int, int, int]] = []
@@ -277,7 +329,7 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
             early = True
             steps.append(("stop", len(edges), 0.0))
             break
-        el = edge_logits(zt, cands, params).data
+        el = heads.edges.take([u * n + v for u, v in cands])
         idx, logp = _softmax_choice(rng, el)
         pair = cands[idx]
         allowed = state.allowed_orders(pair)
@@ -286,9 +338,7 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
             steps.append(("reject", pair, logp))
             continue
         steps.append(("edge", pair, logp))
-        ol = order_logits(zt, pair, params).data
-        sub = np.array([ol[m - 1] for m in allowed])
-        oidx, ologp = _softmax_choice(rng, sub)
+        oidx, ologp = _softmax_choice(rng, heads.orders[pair][[m - 1 for m in allowed]])
         order = allowed[oidx]
         steps.append(("order", (pair, order), ologp))
         state.commit(pair, order)

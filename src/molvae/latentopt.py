@@ -400,6 +400,7 @@ class BOResult:
     oracle_calls: int
     history: list  # per-iteration dicts, deterministic for a given seed
     seconds: list  # per-iteration wall times of fit, propose, decode, oracle
+    initial_model: SGPModel | None  # iteration 0's GP, fitted to the inputs alone
 
 
 def _propose_by_ei(model: SGPModel, x, best, count, rng, n_starts=8):
@@ -458,7 +459,9 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
     recorded, never scored.  The result ranks unique valid molecules by
     score, best first.  ``history`` records each iteration's fitted GP
     and largest EI; ``seconds`` its wall times, kept apart because they
-    differ between otherwise identical runs.
+    differ between otherwise identical runs.  ``initial_model`` is the GP
+    of iteration 0, ``sgp_fit(train_embeddings, train_scores, m, seed)``,
+    so callers can assess the fit on held-out rows without refitting.
     """
     x = np.asarray(train_embeddings, dtype=np.float64)
     y = np.asarray(train_scores, dtype=np.float64).ravel()
@@ -475,11 +478,14 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
     oracle_calls = 0
     n_decoded = 0
     n_valid = 0
+    initial_model = None
     for it in range(iters):
         m_ind = min(n_inducing or len(x), len(x))
         t0 = perf_counter()
         model = sgp_fit(x, y, m_ind, seed=seed + it)
         t1 = perf_counter()
+        if it == 0:
+            initial_model = model
         best = float(y.max())
         proposals, max_ei = _propose_by_ei(model, x, best, batch, rng)
         t2 = perf_counter()
@@ -524,6 +530,7 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
         oracle_calls=oracle_calls,
         history=history,
         seconds=seconds,
+        initial_model=initial_model,
     )
 
 

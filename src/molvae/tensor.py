@@ -4,8 +4,10 @@ A dynamic tape records every operation of a forward pass; gradients are
 obtained by replaying the tape back to front.  All values are 64-bit floats.
 Tapes are single-threaded objects; independent tapes may run concurrently on
 disjoint data.  Operations invoked with no tape active simply compute their
-forward value, which gives a single code path for training (taped) and
-sampling/evaluation (untaped).
+forward value, which gives a single code path for taped training and
+untaped scoring.  Sampling does not use the tape: the decoder evaluates its
+heads once per draw with the plain-array ``softplus_array`` and
+``exp_array`` that the ops below are built on.
 """
 
 from __future__ import annotations
@@ -265,12 +267,17 @@ def reshape(a: Tensor, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities and reductions
 
-def exp(a: Tensor) -> Tensor:
+def exp_array(x: np.ndarray) -> np.ndarray:
+    """np.exp that raises FloatingPointError on overflow."""
     with np.errstate(over="raise"):
         try:
-            out = np.exp(a.data)
+            return np.exp(x)
         except FloatingPointError as err:
             raise FloatingPointError("overflow in op 'exp'") from err
+
+
+def exp(a: Tensor) -> Tensor:
+    out = exp_array(a.data)
 
     def backward(g):
         return (g * out,)
@@ -298,10 +305,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softplus(a: Tensor) -> Tensor:
+def softplus_array(x: np.ndarray) -> np.ndarray:
     """Overflow-safe softplus: max(x, 0) + log1p(exp(-|x|))."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def softplus(a: Tensor) -> Tensor:
+    """Taped ``softplus_array``."""
     ad = a.data
-    out = np.maximum(ad, 0.0) + np.log1p(np.exp(-np.abs(ad)))
+    out = softplus_array(ad)
 
     def backward(g):
         return (g * _sigmoid(ad),)

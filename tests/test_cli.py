@@ -6,7 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from molvae import latentopt
 from molvae.cli import main, ranking_agreement
+from molvae.encoder import posterior
+from molvae.latentopt import molecule_embedding, proxy_property
+from molvae.training import load_checkpoint
 from molvae.molgraph import DEFAULT_TABLE, random_molecule, write_corpus
 
 
@@ -87,6 +91,17 @@ def test_sample_outputs(workspace, tmp_path):
     assert report["valence_validity"] == 1.0    # valence masking guarantee
     assert report["n_samples"] == 25
     assert 0.0 <= report["uniqueness"] <= 1.0
+    sampler = report["sampler"]
+    assert set(sampler) == {"draws", "early_stop_frac", "rejects_per_draw",
+                            "requested_edges_mean", "realised_edges_mean"}
+    assert sampler["draws"] == 25
+    assert 0.0 <= sampler["early_stop_frac"] <= 1.0
+    assert sampler["rejects_per_draw"] >= 0.0
+    bonds = sum(len(json.loads(ln)["bonds"]) for ln in lines) / 25
+    assert sampler["realised_edges_mean"] == pytest.approx(bonds)
+    assert sampler["realised_edges_mean"] <= sampler["requested_edges_mean"]
+    if sampler["early_stop_frac"] == 0.0:
+        assert sampler["realised_edges_mean"] == sampler["requested_edges_mean"]
 
 
 def test_sample_zero_count(workspace, tmp_path):
@@ -225,12 +240,21 @@ def test_ranking_agreement_degenerate():
     assert up == 1.0 and down == 1.0
 
 
-def test_bo_outputs(workspace, tmp_path):
+def test_bo_outputs(workspace, tmp_path, monkeypatch):
+    fits = []
+    sgp_fit = latentopt.sgp_fit
+
+    def counting_fit(*args, **kwargs):
+        fits.append(args[2])
+        return sgp_fit(*args, **kwargs)
+
+    monkeypatch.setattr(latentopt, "sgp_fit", counting_fit)
     rc = main(["bo", "--corpus", workspace["corpus_path"],
                "--checkpoint", workspace["checkpoint"], "--seed", "4",
                "--iters", "2", "--batch-size", "5",
                "--out-dir", str(tmp_path)])
     assert rc == 0
+    assert len(fits) == 2    # the held-out fit reuses iteration 0's GP
     trace = json.loads((tmp_path / "bo_trace.json").read_text())
     assert trace["fraction_valid"] == 1.0   # valence masking during decode
     assert {"held_out_loglik", "held_out_rmse"} <= set(trace["sgp"])
@@ -249,6 +273,39 @@ def test_bo_outputs(workspace, tmp_path):
     mols = [json.loads(ln) for ln in
             (tmp_path / "bo_molecules.jsonl").read_text().splitlines()]
     assert len(mols) == len(scores)
+
+
+def test_bo_held_out_fit_is_the_training_fit(workspace, tmp_path):
+    """The held-out figures come from bo_loop's first GP, which is the fit
+    of the training rows alone under the run seed."""
+    rc = main(["bo", "--corpus", workspace["corpus_path"],
+               "--checkpoint", workspace["checkpoint"], "--seed", "4",
+               "--iters", "1", "--batch-size", "5",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    sgp = json.loads((tmp_path / "bo_trace.json").read_text())["sgp"]
+    model = load_checkpoint(workspace["checkpoint"]).model
+    corpus = workspace["corpus"]
+    x = np.array([molecule_embedding(posterior(g, model.encoder, model.table))
+                  for g in corpus])
+    y = np.array([proxy_property(g, lambda_n=model.lambda_n) for g in corpus])
+    order = np.random.default_rng(4).permutation(len(corpus))
+    test_ids, train_ids = order[:sgp["n_test"]], order[sgp["n_test"]:]
+    fit = latentopt.sgp_fit(x[train_ids], y[train_ids], sgp["n_inducing"],
+                            seed=4)
+    mean, _ = latentopt.sgp_predict(fit, x[test_ids])
+    rmse = float(np.sqrt(np.mean((mean - y[test_ids]) ** 2)))
+    loglik = float(np.mean(latentopt.sgp_loglik(fit, x[test_ids],
+                                                y[test_ids])))
+    assert sgp["held_out_rmse"] == rmse
+    assert sgp["held_out_loglik"] == loglik
+
+
+def test_bo_needs_an_iteration(workspace, tmp_path):
+    rc = main(["bo", "--corpus", workspace["corpus_path"],
+               "--checkpoint", workspace["checkpoint"], "--seed", "4",
+               "--iters", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
 
 
 def test_bo_tiny_corpus_rejected(workspace, tmp_path):

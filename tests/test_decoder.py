@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from molvae import decoder
 from molvae import tensor as T
-from molvae.decoder import (DecoderParams, edge_count_dist, edge_logits,
-                            edge_step_logprob, feature_logprob, graph_logprob,
-                            init_decoder, order_logits, poisson_logpmf,
-                            sample_graph, type_logits, weight_step_logprob)
-from molvae.masks import MaskState, make_state
+from molvae.decoder import (DecoderParams, draw_heads, edge_count_dist,
+                            edge_logits, edge_step_logprob, feature_logprob,
+                            graph_logprob, init_decoder, order_logits,
+                            poisson_logpmf, sample_graph, type_logits,
+                            weight_step_logprob)
+from molvae.masks import MASK_KINDS, MaskState, make_state
 from molvae.molgraph import (DEFAULT_TABLE, MolecularGraph, valence_ok)
 
 
@@ -229,6 +231,179 @@ def test_zero_truncated_node_count():
         assert abs(logp - hand) < 1e-12
     p1 = (lam * math.exp(-lam)) / (1 - math.exp(-lam))
     assert abs(counts[1] / 4000 - p1) < 0.035
+
+
+# ---------------------------------------------------------------------------
+# the tape-free sampler against the taped reference
+
+
+def _taped_sample_graph(params, rng, *, lambda_n=None, n=None, z=None,
+                        mask_kind="valence", table=None):
+    """The sampler as it was on the tape: every head rebuilt from Tensor ops
+    at each step, and every choice drawn by ``rng.choice``."""
+    def choice(logits):
+        p = np.exp(logits - logits.max())
+        p = p / p.sum()
+        idx = int(rng.choice(len(p), p=p))
+        return idx, float(np.log(p[idx]))
+
+    table = table or DEFAULT_TABLE
+    steps = []
+    if z is not None:
+        z = np.asarray(z, dtype=np.float64)
+        n = z.shape[0]
+    elif n is None:
+        while True:
+            n = int(rng.poisson(lambda_n))
+            if n >= 1:
+                break
+        steps.append(("node_count", n, n * math.log(lambda_n) - lambda_n
+                      - math.lgamma(n + 1) - math.log1p(-math.exp(-lambda_n))))
+    if z is None:
+        z = rng.standard_normal((n, params.D))
+    zt = T.Tensor(z)
+    tl = type_logits(zt, params).data
+    atoms = []
+    for u in range(n):
+        idx, logp = choice(tl[u])
+        atoms.append(table.symbols[idx])
+        steps.append(("feature", (u, table.symbols[idx]), logp))
+    atoms = tuple(atoms)
+    rate, log_rate = edge_count_dist(zt, params)
+    l = int(rng.poisson(rate.item()))
+    steps.append(("edge_count", l, poisson_logpmf(l, rate, log_rate).item()))
+    state = decoder.make_state(mask_kind, atom_types=atoms, table=table)
+    edges = []
+    early = False
+    while len(edges) < l:
+        cands = state.candidates()
+        if not cands:
+            early = True
+            steps.append(("stop", len(edges), 0.0))
+            break
+        idx, logp = choice(edge_logits(zt, cands, params).data)
+        pair = cands[idx]
+        allowed = state.allowed_orders(pair)
+        if not allowed:
+            state.reject(pair)
+            steps.append(("reject", pair, logp))
+            continue
+        steps.append(("edge", pair, logp))
+        ol = order_logits(zt, pair, params).data
+        oidx, ologp = choice(np.array([ol[m - 1] for m in allowed]))
+        steps.append(("order", (pair, allowed[oidx]), ologp))
+        state.commit(pair, allowed[oidx])
+        edges.append((pair[0], pair[1], allowed[oidx]))
+    return MolecularGraph(atoms, tuple(edges)), steps, early
+
+
+def _with_biases(params, seed):
+    """Give every bias a nonzero value (init_decoder zeros them)."""
+    rng = np.random.default_rng(seed)
+    for name in ("b_type", "b_count", "b_count_out", "b_edge", "b_order"):
+        bias = getattr(params, name)
+        setattr(params, name, T.Tensor(rng.normal(size=bias.shape)))
+    return params
+
+
+class _NoOrderOnEveryThirdPair:
+    """Stub rule under which some proposed pairs allow no order."""
+
+    def edge_ok(self, state, pair):
+        return True
+
+    def weight_ok(self, state, pair, order):
+        return sum(pair) % 3 != 0
+
+    def on_commit(self, state, pair, order):
+        pass
+
+    def on_reject(self, state, pair):
+        pass
+
+
+@pytest.mark.parametrize("mask_kind", MASK_KINDS + ("rejecting",))
+@pytest.mark.parametrize("entry", ["lambda_n", "n", "z"])
+def test_sampler_matches_taped_reference(monkeypatch, mask_kind, entry):
+    if mask_kind == "rejecting":
+        monkeypatch.setattr(decoder, "make_state", lambda kind, atom_types, table:
+                            MaskState(len(atom_types), [_NoOrderOnEveryThirdPair()]))
+    params = _with_biases(_params(D=4, seed=61), seed=62)
+    params.b_count_out = T.Tensor(2.0)  # enough edges to saturate masks
+    kinds = set()
+    for seed in range(100):
+        kw = {"lambda_n": {"lambda_n": 6.0}, "n": {"n": 5},
+              "z": {"z": np.random.default_rng(10_000 + seed)
+                    .standard_normal((6, 4))}}[entry]
+        g, trace = sample_graph(params, np.random.default_rng(seed),
+                                mask_kind=mask_kind, **kw)
+        ref, ref_steps, ref_early = _taped_sample_graph(
+            params, np.random.default_rng(seed), mask_kind=mask_kind, **kw)
+        assert g == ref
+        assert trace.early_stopped == ref_early
+        assert [s[:2] for s in trace.steps] == [s[:2] for s in ref_steps]
+        for (_, _, lp), (_, _, ref_lp) in zip(trace.steps, ref_steps):
+            assert abs(lp - ref_lp) <= 1e-12
+        kinds.update(kind for kind, _, _ in trace.steps)
+    assert {"feature", "edge_count", "edge", "order"} <= kinds
+    if mask_kind == "rejecting":
+        assert "reject" in kinds
+
+
+def test_draw_heads_match_taped_heads():
+    params = _with_biases(_params(D=5, seed=67), seed=68)
+    z = np.random.default_rng(3).standard_normal((9, 5))
+    zt = T.Tensor(z)
+    heads = draw_heads(z, params)
+    assert np.max(np.abs(heads.types - type_logits(zt, params).data)) <= 1e-12
+    rate, log_rate = edge_count_dist(zt, params)
+    assert abs(heads.rate - rate.item()) <= 1e-12 * rate.item()
+    assert abs(heads.log_rate - log_rate.item()) <= 1e-12
+    pairs = [(u, v) for u in range(9) for v in range(9) if u != v]
+    taped = edge_logits(zt, pairs, params).data
+    mine = np.array([heads.edges[u, v] for u, v in pairs])
+    assert np.max(np.abs(mine - taped)) <= 1e-12
+    for pair in pairs:
+        assert np.max(np.abs(heads.orders[pair]
+                             - order_logits(zt, pair, params).data)) <= 1e-12
+
+
+def test_sampler_rejects_non_finite_heads():
+    params = _params(D=3, seed=71)
+    z = np.zeros((4, 3))
+    z[2, 1] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite type head"):
+        sample_graph(params, np.random.default_rng(0), z=z)
+    params.w_edge = T.Tensor(np.full((1, 3), 1e308))
+    with pytest.raises(FloatingPointError, match="non-finite edge head"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample_graph(params, np.random.default_rng(0), z=np.ones((4, 3)))
+    params = _params(D=3, seed=71)
+    params.b_count_out = T.Tensor(800.0)
+    with pytest.raises(FloatingPointError, match="overflow in op 'exp'"):
+        sample_graph(params, np.random.default_rng(0), n=4)
+
+
+def test_sampler_records_nothing_on_the_tape(monkeypatch):
+    calls = []
+    emit = T._emit
+
+    def counting_emit(*args):
+        calls.append(args[0])
+        return emit(*args)
+
+    monkeypatch.setattr(T, "_emit", counting_emit)
+    params = _params(D=4, seed=61)
+    params.b_count_out = T.Tensor(2.0)
+    kinds = set()
+    for seed in range(5):
+        _, trace = sample_graph(params, np.random.default_rng(seed),
+                                lambda_n=6.0)
+        kinds.update(kind for kind, _, _ in trace.steps)
+    assert "edge" in kinds
+    assert calls == []
+    type_logits(T.Tensor(np.zeros((2, 4))), params)  # the patch does count
+    assert calls
 
 
 # ---------------------------------------------------------------------------
