@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,14 @@ from .training import (SOURCE_KINDS, Checkpoint, Hyperparams, elbo,
 
 MASK_FLAGS = {"none": "none", "valence": "valence",
               "triangle-free": "triangle_free"}
+# smallest value of each integer flag; D must one-hot the atom alphabet
+FLAG_MINIMUM = {"seed": 0, "count": 1, "steps": 1, "samples": 1, "iters": 1,
+                "batch_size": 1, "inducing": 1, "K": 1, "L": 1,
+                "D": len(DEFAULT_TABLE.symbols)}
+# smallest corpus size and max graph size per synth experiment: the ranked
+# ones score top and bottom tenths, and generators draw from 6 or 5 nodes up
+SYNTH_MINIMUM = {"triangle_free": (1, 6), "kronecker": (10, 1), "ba": (10, 2),
+                 "perm_drift": (1, 5)}
 KRONECKER_INITIATOR = ((0.9, 0.6), (0.3, 0.2))
 
 
@@ -190,8 +199,6 @@ def cmd_sample(cfg: RunConfig) -> int:
     ckpt = _load_checkpoint(cfg)
     corpus = _load_corpus(cfg)
     count = cfg.options["count"]
-    if count < 1:
-        raise UsageError("--count must be >= 1")
     mode, idx = _parse_mode(cfg.options["mode"], len(corpus))
     model = ckpt.model
     if mode == "posterior":
@@ -232,8 +239,6 @@ def cmd_interpolate(cfg: RunConfig) -> int:
     corpus = _load_corpus(cfg)
     model = ckpt.model
     steps = cfg.options["steps"]
-    if steps < 1:
-        raise UsageError("--steps must be >= 1")
     for key in ("mol_a", "mol_b"):
         if not 0 <= cfg.options[key] < len(corpus):
             raise UsageError(f"--{key.replace('_', '-')} outside corpus"
@@ -273,13 +278,7 @@ def cmd_perturb(cfg: RunConfig) -> int:
     node = cfg.options["node"]
     if not 0 <= node < g0.n:
         raise UsageError(f"--node outside molecule of {g0.n} nodes")
-    try:
-        amplitudes = [float(tok) for tok in
-                      cfg.options["amplitudes"].split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"bad --amplitudes {cfg.options['amplitudes']!r}")
-    if not amplitudes:
-        raise UsageError("--amplitudes needs at least one value")
+    amplitudes = cfg.options["amplitudes"]
     rng = np.random.default_rng(cfg.seed)
     z0 = _posterior_draw(g0, model, rng)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -444,8 +443,6 @@ def cmd_bo(cfg: RunConfig) -> int:
         raise UsageError("bo needs a corpus of at least 3 molecules")
     model = ckpt.model
     opts = cfg.options
-    if opts["iters"] < 1:
-        raise UsageError("--iters must be >= 1")
     embeddings = np.array([
         molecule_embedding(posterior(g, model.encoder, model.table))
         for g in corpus])
@@ -589,6 +586,37 @@ _SYNTH_DEFAULTS = {  # corpus size, max nodes
 }
 
 
+def _parse_amplitudes(raw: str) -> list[float]:
+    try:
+        amplitudes = [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"bad --amplitudes {raw!r}")
+    if not amplitudes:
+        raise UsageError("--amplitudes needs at least one value")
+    if not all(map(math.isfinite, amplitudes)):
+        raise UsageError(f"--amplitudes must be finite, got {raw!r}")
+    return amplitudes
+
+
+def _check_flags(options: dict) -> None:
+    """Reject out-of-range flags before any input is read."""
+    for key, low in FLAG_MINIMUM.items():
+        if options.get(key) is not None and options[key] < low:
+            raise UsageError(f"--{key.replace('_', '-')} must be >= {low},"
+                             f" got {options[key]}")
+    if "lr" in options and not (math.isfinite(options["lr"])
+                                and options["lr"] > 0):
+        raise UsageError(f"--lr must be finite and positive, got {options['lr']}")
+    if "test_fraction" in options and not 0.0 <= options["test_fraction"] < 1.0:
+        raise UsageError("--test-fraction must be in [0, 1),"
+                         f" got {options['test_fraction']}")
+    experiment = options.get("experiment")
+    for key, low in zip(("count", "nodes"), SYNTH_MINIMUM.get(experiment, ())):
+        if options[key] < low:
+            raise UsageError(f"--{key} must be >= {low} for {experiment},"
+                             f" got {options[key]}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     options = {k: v for k, v in vars(args).items()
                if k not in ("subcommand", "seed", "out_dir", "mask",
@@ -599,8 +627,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             options["count"] = count_default
         if options.get("nodes") is None:
             options["nodes"] = nodes_default
-        if options["count"] < 1:
-            raise UsageError("--count must be >= 1")
+    if args.subcommand == "perturb":
+        options["amplitudes"] = _parse_amplitudes(options["amplitudes"])
+    _check_flags({**options, "seed": args.seed})
     return RunConfig(
         subcommand=args.subcommand,
         out_dir=Path(args.out_dir),

@@ -6,10 +6,10 @@ log rate), then one (edge, bond-order) pair per step, each a masked softmax
 over the surviving candidates.  The same log-probability code serves taped
 training (exact or negative-sampled edge partitions) and untaped scoring.
 
-Sampling does not go through the tape.  The edge and bond-order heads are
-linear in z_u + z_v, so ``draw_heads`` evaluates every head once per draw
-in plain numpy from one projection per node, and each step only indexes
-those arrays at its candidates.
+Every head is defined once, in ``heads``, and evaluated once per graph:
+the edge and bond-order heads are linear in z_u + z_v, so one projection
+per node scores every pair.  Each likelihood step gathers its candidates'
+scores; the sampler reads the same scores untaped.
 
 Sampling with a mask state guarantees the masked property by construction:
 masked pairs and orders are never proposed, a pair with no allowed order is
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .masks import BOND_ORDERS, MaskState, make_state
+from .masks import MaskState, make_state
 from .molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable
 
 
@@ -110,39 +110,60 @@ def poisson_logpmf(k: int, rate, log_rate):
     return float(k) * log_rate - rate - math.lgamma(k + 1)
 
 
-def edge_logits(z: T.Tensor, pairs, params: DecoderParams) -> T.Tensor:
-    """Scalar logit per candidate pair from the symmetric combine z_u + z_v."""
-    us = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
-    vs = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=len(pairs))
-    x = T.add(T.gather_rows(z, us), T.gather_rows(z, vs))
-    out = T.add(T.matmul(x, T.transpose(params.w_edge)), params.b_edge)
-    return T.reshape(T.softplus(out), (-1,))
+@dataclass(frozen=True)
+class Heads:
+    """Every head of one decode; pair (u, v) scores at flat index u n + v."""
+
+    types: T.Tensor     # n x n_types, from type_logits
+    rate: T.Tensor      # scalar, from edge_count_dist
+    log_rate: T.Tensor  # scalar
+    edges: T.Tensor     # n * n
+    orders: T.Tensor    # n * n * 3: order m of a pair at 3 (u n + v) + m - 1
 
 
-def order_logits(z: T.Tensor, pair, params: DecoderParams) -> T.Tensor:
-    """Bond-order logits (length 3) for one pair."""
-    u, v = pair
-    x = T.add(T.gather_rows(z, np.array([u])), T.gather_rows(z, np.array([v])))
-    out = T.add(T.matmul(x, T.transpose(params.w_order)), params.b_order)
-    return T.reshape(T.softplus(out), (-1,))
+def heads(z: T.Tensor, params: DecoderParams) -> Heads:
+    """Every head for the nodes of ``z``, evaluated once per graph.
+
+    The edge and bond-order heads are linear in z_u + z_v, so each comes
+    from one projection per node, summed over all pairs by broadcasting:
+    softplus(a_u + a_v + b) with a = z w^T.
+    """
+    n = z.shape[0]
+    types = type_logits(z, params)
+    rate, log_rate = edge_count_dist(z, params)
+    a = T.matmul(z, T.transpose(params.w_edge))
+    edges = T.softplus(T.add(T.add(a, T.transpose(a)), params.b_edge))
+    o = T.matmul(z, T.transpose(params.w_order))
+    pair_o = T.add(T.reshape(o, (n, 1, 3)), T.reshape(o, (1, n, 3)))
+    orders = T.softplus(T.add(pair_o, params.b_order))
+    return Heads(types, rate, log_rate, T.reshape(edges, (-1,)),
+                 T.reshape(orders, (-1,)))
+
+
+def _edge_index(pairs, n: int) -> list[int]:
+    return [u * n + v for u, v in pairs]
+
+
+def _order_index(pair, n: int, orders) -> list[int]:
+    base = (pair[0] * n + pair[1]) * 3 - 1
+    return [base + m for m in orders]
 
 
 # ---------------------------------------------------------------------------
 # log-probability terms
 
-def feature_logprob(g: MolecularGraph, z: T.Tensor, params: DecoderParams,
+def feature_logprob(g: MolecularGraph, h: Heads,
                     table: ValenceTable | None = None) -> T.Tensor:
     """Sum over nodes of log softmax(type logits)[atom type]."""
     table = table or DEFAULT_TABLE
-    logits = type_logits(z, params)
     idx = np.array([table.index(sym) for sym in g.atom_types], dtype=np.intp)
-    flat = T.reshape(logits, (-1,))
-    own = T.gather_rows(flat, idx + np.arange(g.n) * params.n_types)
-    norm = T.logsumexp(logits, axis=1)
+    flat = T.reshape(h.types, (-1,))
+    own = T.gather_rows(flat, idx + np.arange(g.n) * h.types.shape[1])
+    norm = T.logsumexp(h.types, axis=1)
     return T.sum_all(own) - T.sum_all(norm)
 
 
-def edge_step_logprob(z: T.Tensor, state: MaskState, pair, params: DecoderParams,
+def edge_step_logprob(h: Heads, state: MaskState, pair,
                       partition: str = "exact", L: int = 10,
                       rng: np.random.Generator | None = None) -> T.Tensor:
     """Log-probability that the next edge is ``pair``.
@@ -155,38 +176,31 @@ def edge_step_logprob(z: T.Tensor, state: MaskState, pair, params: DecoderParams
     pair = (min(pair), max(pair))
     if not state.edge_mask(pair):
         raise ValueError(f"edge {pair} is masked or already used")
+    n = h.types.shape[0]
     if partition == "exact":
-        cands = state.candidates()
-        logits = edge_logits(z, cands, params)
-        true_idx = cands.index(pair)
-        true = T.gather_rows(logits, np.array([true_idx]))
-        return T.reshape(true, ()) - T.logsumexp(logits)
-    if partition != "negative_sampled":
+        terms = T.gather_rows(h.edges, _edge_index(state.candidates(), n))
+    elif partition == "negative_sampled":
+        if rng is None:
+            raise ValueError("negative_sampled partition needs an rng")
+        pool = state.candidate_count(exclude=pair)
+        negs = state.sample_candidates(rng, L, exclude=pair)
+        if not negs:
+            return T.Tensor(0.0)
+        offset = np.full(len(negs) + 1, math.log(pool / len(negs)))
+        offset[0] = 0.0
+        terms = T.gather_rows(h.edges, _edge_index([pair] + negs, n)) + offset
+    else:
         raise ValueError(f"unknown partition mode {partition!r}")
-    if rng is None:
-        raise ValueError("negative_sampled partition needs an rng")
-    pool = state.candidate_count(exclude=pair)
-    negs = state.sample_candidates(rng, L, exclude=pair)
-    logits = edge_logits(z, [pair] + negs, params)
-    if not negs:
-        return T.Tensor(0.0)
-    true = T.reshape(T.gather_rows(logits, np.array([0])), ())
-    offset = math.log(pool / len(negs))
-    terms = T.concat([T.reshape(true, (1,)), T.gather_rows(logits, np.arange(1, len(negs) + 1)) + offset])
-    return true - T.logsumexp(terms)
+    return T.gather_rows(h.edges, pair[0] * n + pair[1]) - T.logsumexp(terms)
 
 
-def weight_step_logprob(z: T.Tensor, state: MaskState, pair, order: int,
-                        params: DecoderParams) -> T.Tensor:
+def weight_step_logprob(h: Heads, state: MaskState, pair, order: int) -> T.Tensor:
     """Log-probability of the bond order under the masked order softmax."""
     allowed = state.allowed_orders(pair)
     if order not in allowed:
         raise ValueError(f"order {order} masked for pair {pair} (allowed {allowed})")
-    logits = order_logits(z, pair, params)
-    idx = np.array([m - 1 for m in allowed], dtype=np.intp)
-    visible = T.gather_rows(logits, idx)
-    own = T.reshape(T.gather_rows(logits, np.array([order - 1])), ())
-    return own - T.logsumexp(visible)
+    visible = T.gather_rows(h.orders, _order_index(pair, h.types.shape[0], allowed))
+    return T.gather_rows(visible, allowed.index(order)) - T.logsumexp(visible)
 
 
 def graph_logprob(g: MolecularGraph, z: T.Tensor, edge_sequence,
@@ -203,61 +217,19 @@ def graph_logprob(g: MolecularGraph, z: T.Tensor, edge_sequence,
     bond_orders = {(u, v): o for u, v, o in g.bonds}
     if sorted(seq) != sorted(bond_orders):
         raise ValueError("edge_sequence must cover the graph's bonds exactly once")
-    total = feature_logprob(g, z, params, table)
-    rate, log_rate = edge_count_dist(z, params)
-    total = total + poisson_logpmf(len(seq), rate, log_rate)
+    h = heads(z, params)
+    total = feature_logprob(g, h, table)
+    total = total + poisson_logpmf(len(seq), h.rate, h.log_rate)
     state = make_state(mask_kind, atom_types=g.atom_types, table=table)
     for pair in seq:
-        total = total + edge_step_logprob(z, state, pair, params, partition, L, rng)
-        total = total + weight_step_logprob(z, state, pair, bond_orders[pair], params)
+        total = total + edge_step_logprob(h, state, pair, partition, L, rng)
+        total = total + weight_step_logprob(h, state, pair, bond_orders[pair])
         state.commit(pair, bond_orders[pair])
     return total
 
 
 # ---------------------------------------------------------------------------
 # sampling
-
-@dataclass(frozen=True)
-class DrawHeads:
-    """Every head of one draw as a plain array."""
-
-    types: np.ndarray   # n x n_types: row u is type_logits row u
-    rate: float         # edge_count_dist
-    log_rate: float
-    edges: np.ndarray   # n x n: [u, v] is edge_logits of (u, v)
-    orders: np.ndarray  # n x n x 3: [u, v] is order_logits of (u, v)
-
-
-def _check_finite(head: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError(f"non-finite {head} head in sample_graph")
-
-
-def draw_heads(z: np.ndarray, params: DecoderParams) -> DrawHeads:
-    """``type_logits``, ``edge_count_dist``, ``edge_logits`` and
-    ``order_logits`` for every node and pair of ``z``, off the tape.
-
-    The pair heads are linear in z_u + z_v, so they come from one projection
-    per node: softplus(a_u + a_v + b) with a = z w^T.  Each array is checked
-    once for finite values (a FloatingPointError names the head), and the
-    rate's exp raises on overflow as ``T.exp`` does.
-    """
-    softplus = T.softplus_array
-    types = softplus(z @ params.w_type.data.T + params.b_type.data)
-    _check_finite("type", types)
-    h = softplus(z @ params.w_count.data.T + params.b_count.data)
-    pooled = h.sum(axis=0).reshape(1, -1)
-    log_rate = (pooled @ params.w_count_out.data.T).reshape(()) + params.b_count_out.data
-    _check_finite("edge count", log_rate)
-    rate = T.exp_array(log_rate)
-    a = z @ params.w_edge.data[0]
-    edges = softplus(a[:, None] + a[None, :] + params.b_edge.data)
-    _check_finite("edge", edges)
-    o = z @ params.w_order.data.T
-    orders = softplus(o[:, None, :] + o[None, :, :] + params.b_order.data)
-    _check_finite("bond order", orders)
-    return DrawHeads(types, float(rate), float(log_rate), edges, orders)
-
 
 def _softmax_choice(rng: np.random.Generator, logits: np.ndarray) -> tuple[int, float]:
     """Draw from softmax(logits) by inverse CDF: the arithmetic of
@@ -280,9 +252,11 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
     Provide ``z`` (and implicitly n) to decode a fixed latent set, ``n`` to
     fix the size only, or ``lambda_n`` to draw n from a zero-truncated
     Poisson.  The trace records every choice with its log-probability.
-    The heads come from ``draw_heads``, once per draw and without the tape;
-    a non-finite head, including one from a non-finite ``z``, raises
-    FloatingPointError.
+    The heads come from ``heads``, once per draw; each step only indexes
+    them.  A non-finite head, including one from a non-finite ``z``, raises
+    FloatingPointError naming the op.  An edge-count rate above numpy's
+    Poisson limit (about 9.2e18) requests one edge more than there are
+    pairs, which is every such count's draw, at log-probability 0.
     """
     table = table or DEFAULT_TABLE
     steps: list[tuple[str, object, float]] = []
@@ -299,26 +273,34 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
             n = int(rng.poisson(lambda_n))
             if n >= 1:
                 break
-        logp0 = -lambda_n  # log P(N=0)
-        logp = n * math.log(lambda_n) - lambda_n - math.lgamma(n + 1) \
-            - math.log1p(-math.exp(logp0))
+        logp = poisson_logpmf(n, lambda_n, math.log(lambda_n)) \
+            - math.log1p(-math.exp(-lambda_n))  # over P(N > 0)
         steps.append(("node_count", n, logp))
     if n < 1:
         raise ValueError("cannot sample an empty graph")
     if z is None:
         z = rng.standard_normal((n, params.D))
-    heads = draw_heads(z, params)
+    h = heads(T.Tensor(z), params)
 
     symbols = table.symbols
     atoms = []
     for u in range(n):
-        idx, logp = _softmax_choice(rng, heads.types[u])
+        idx, logp = _softmax_choice(rng, h.types.data[u])
         atoms.append(symbols[idx])
         steps.append(("feature", (u, symbols[idx]), logp))
     atoms = tuple(atoms)
 
-    l = int(rng.poisson(heads.rate))
-    steps.append(("edge_count", l, poisson_logpmf(l, heads.rate, heads.log_rate)))
+    rate = h.rate.item()
+    try:
+        l = int(rng.poisson(rate))
+    except ValueError:
+        # numpy draws no Poisson variate above about 9.2e18.  Every count
+        # above the n(n-1)/2 pairs decodes alike, and at such a rate
+        # log P(count > pairs) is 0 to double precision.
+        l, logp = n * (n - 1) // 2 + 1, 0.0
+    else:
+        logp = poisson_logpmf(l, rate, h.log_rate.item())
+    steps.append(("edge_count", l, logp))
 
     state = make_state(mask_kind, atom_types=atoms, table=table)
     edges: list[tuple[int, int, int]] = []
@@ -329,8 +311,7 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
             early = True
             steps.append(("stop", len(edges), 0.0))
             break
-        el = heads.edges.take([u * n + v for u, v in cands])
-        idx, logp = _softmax_choice(rng, el)
+        idx, logp = _softmax_choice(rng, h.edges.data.take(_edge_index(cands, n)))
         pair = cands[idx]
         allowed = state.allowed_orders(pair)
         if not allowed:
@@ -338,7 +319,7 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
             steps.append(("reject", pair, logp))
             continue
         steps.append(("edge", pair, logp))
-        oidx, ologp = _softmax_choice(rng, heads.orders[pair][[m - 1 for m in allowed]])
+        oidx, ologp = _softmax_choice(rng, h.orders.data.take(_order_index(pair, n, allowed)))
         order = allowed[oidx]
         steps.append(("order", (pair, order), ologp))
         state.commit(pair, order)

@@ -96,14 +96,6 @@ def features(g: MolecularGraph, params: EncoderParams,
     return out
 
 
-def _weighted_adjacency(g: MolecularGraph) -> list[list[tuple[int, float]]]:
-    adj = [[] for _ in range(g.n)]
-    for u, v, order in g.bonds:
-        adj[u].append((v, float(order)))
-        adj[v].append((u, float(order)))
-    return adj
-
-
 def _aggregate(c_prev: T.Tensor, adj) -> T.Tensor:
     """Sum of bond-weighted neighbor embeddings, accumulated canonically.
 
@@ -135,7 +127,7 @@ def embed(g: MolecularGraph, params: EncoderParams,
           table: ValenceTable | None = None) -> T.Tensor:
     """Concatenated hop embeddings c(1) || ... || c(K), shape n x K*D."""
     f = T.Tensor(features(g, params, table))
-    adj = _weighted_adjacency(g)
+    adj = g.adjacency()
     hops = []
     gated = T.matvec_rows(f, params.hops[0])
     hops.append(gated)

@@ -28,7 +28,8 @@ from scipy.special import erf
 from .decoder import sample_graph
 from .encoder import posterior
 from .molgraph import (CERTIFICATE_LIMIT, DEFAULT_TABLE, MolecularGraph,
-                       canonical_certificate, valence_ok)
+                       canonical_certificate, connected_components,
+                       valence_ok)
 
 JITTERS = (1e-10, 1e-8, 1e-6)
 HYPER_BOX = 5.0  # half-width of the log-hyperparameter search box
@@ -299,28 +300,8 @@ def _min_cycle_basis_lengths(g: MolecularGraph) -> list[int]:
     if not edges:
         return []
     eidx = {e: i for i, e in enumerate(edges)}
-    adj: dict[int, list[int]] = {u: [] for u in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-
-    comp = {}
-    seen: set[int] = set()
-    n_comp = 0
-    for s in range(n):
-        if s in seen:
-            continue
-        n_comp += 1
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            comp[u] = n_comp
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    dim = len(edges) - n + n_comp
+    adj = g.adjacency()
+    dim = len(edges) - n + len(connected_components(g))
     if dim == 0:
         return []
 
@@ -332,7 +313,7 @@ def _min_cycle_basis_lengths(g: MolecularGraph) -> list[int]:
         while queue:
             nxt = []
             for u in queue:
-                for v in adj[u]:
+                for v, _ in adj[u]:
                     if v not in dist:
                         dist[v] = dist[u] + 1
                         parent[v] = u
@@ -480,7 +461,7 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
     n_valid = 0
     initial_model = None
     for it in range(iters):
-        m_ind = min(n_inducing or len(x), len(x))
+        m_ind = len(x) if n_inducing is None else min(n_inducing, len(x))
         t0 = perf_counter()
         model = sgp_fit(x, y, m_ind, seed=seed + it)
         t1 = perf_counter()

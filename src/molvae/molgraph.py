@@ -147,25 +147,39 @@ def graph_to_obj(g: MolecularGraph) -> dict:
     return {"atoms": list(g.atom_types), "bonds": [list(b) for b in g.bonds]}
 
 
+def is_integer(x) -> bool:
+    """True for Python and numpy integers; False for bools."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def graph_from_obj(obj: dict, table: ValenceTable | None = None) -> MolecularGraph:
     table = table or DEFAULT_TABLE
     if not isinstance(obj, dict) or "atoms" not in obj or "bonds" not in obj:
         raise ValueError("record must be an object with 'atoms' and 'bonds'")
-    atoms = obj["atoms"]
+    atoms, bonds = obj["atoms"], obj["bonds"]
+    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+        raise ValueError("'atoms' must be a list of atom symbols")
     for sym in atoms:
         table.max_valence(sym)  # raises on unknown symbol
-    bonds = tuple((b[0], b[1], b[2]) for b in obj["bonds"])
-    return MolecularGraph(tuple(atoms), bonds)
+    if not isinstance(bonds, list) or not all(
+            isinstance(b, list) and len(b) == 3 and all(map(is_integer, b))
+            for b in bonds):
+        raise ValueError("'bonds' must be a list of [u, v, order] integer triples")
+    return MolecularGraph(tuple(atoms), tuple(map(tuple, bonds)))
 
 
 def parse_corpus(path, table: ValenceTable | None = None) -> list[MolecularGraph]:
     """Read a JSONL corpus: one {"atoms": [...], "bonds": [[u,v,order],...]} per line.
 
-    Raises ValueError naming the offending line on malformed JSON, unknown
-    atom symbols, or structural violations.
+    Raises ValueError naming the file and the offending line on malformed
+    JSON, unknown atom symbols, fields of the wrong type or structural
+    violations, and naming the file when it is not UTF-8 text.
     """
     graphs = []
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err}") from err
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -173,8 +187,8 @@ def parse_corpus(path, table: ValenceTable | None = None) -> list[MolecularGraph
         try:
             obj = json.loads(line)
             graphs.append(graph_from_obj(obj, table))
-        except (ValueError, KeyError, TypeError, IndexError) as err:
-            raise ValueError(f"corpus line {lineno}: {err}") from err
+        except (ValueError, KeyError, TypeError, IndexError, RecursionError) as err:
+            raise ValueError(f"{path}: corpus line {lineno}: {err}") from err
     return graphs
 
 

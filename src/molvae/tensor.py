@@ -2,32 +2,20 @@
 
 A dynamic tape records every operation of a forward pass; gradients are
 obtained by replaying the tape back to front.  All values are 64-bit floats.
-Tapes are single-threaded objects; independent tapes may run concurrently on
-disjoint data.  Operations invoked with no tape active simply compute their
-forward value, which gives a single code path for taped training and
-untaped scoring.  Sampling does not use the tape: the decoder evaluates its
-heads once per draw with the plain-array ``softplus_array`` and
-``exp_array`` that the ops below are built on.
+Operations invoked with no tape active simply compute their forward value,
+which gives a single code path for taped training, untaped scoring and
+sampling: the decoder's heads are the same ops in all three.
 """
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-_tls = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_tls, "stack"):
-        _tls.stack = []
-    return _tls.stack
+_tapes: list = []  # the innermost active tape is last
 
 
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tapes[-1] if _tapes else None
 
 
 class Tensor:
@@ -101,11 +89,11 @@ class Tape:
         self._records = []  # (out Tensor, input Tensors, backward fn)
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _tapes.pop()
         assert popped is self
         return False
 
@@ -267,17 +255,12 @@ def reshape(a: Tensor, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities and reductions
 
-def exp_array(x: np.ndarray) -> np.ndarray:
-    """np.exp that raises FloatingPointError on overflow."""
+def exp(a: Tensor) -> Tensor:
     with np.errstate(over="raise"):
         try:
-            return np.exp(x)
+            out = np.exp(a.data)
         except FloatingPointError as err:
             raise FloatingPointError("overflow in op 'exp'") from err
-
-
-def exp(a: Tensor) -> Tensor:
-    out = exp_array(a.data)
 
     def backward(g):
         return (g * out,)
@@ -305,15 +288,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softplus_array(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe softplus: max(x, 0) + log1p(exp(-|x|))."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def softplus(a: Tensor) -> Tensor:
-    """Taped ``softplus_array``."""
+    """Overflow-safe softplus: max(x, 0) + log1p(exp(-|x|))."""
     ad = a.data
-    out = softplus_array(ad)
+    out = np.maximum(ad, 0.0) + np.log1p(np.exp(-np.abs(ad)))
 
     def backward(g):
         return (g * _sigmoid(ad),)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -21,12 +22,17 @@ import numpy as np
 
 from . import tensor as T
 from .decoder import DecoderParams, graph_logprob, init_decoder
-from .encoder import EncoderParams, init_encoder, posterior
+from .encoder import EncoderParams, init_encoder, posterior, sample_latent
 from .masks import MASK_KINDS
-from .molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable
+from .molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable, is_integer
 
 SOURCE_KINDS = ("uniform", "degree", "max_degree")
 PARTITION_MODES = ("exact", "negative_sampled")
+
+
+def _finite_positive(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and 0 < x <= sys.float_info.max)
 
 
 @dataclass
@@ -46,6 +52,11 @@ class Hyperparams:
     partition: str = "negative_sampled"
 
     def __post_init__(self):
+        for name in ("D", "K", "L", "S", "batch_size", "iterations", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _finite_positive(self.lr):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if self.D < 1 or self.K < 1 or self.L < 1 or self.S < 1:
             raise ValueError("D, K, L, S must all be >= 1")
         if self.batch_size < 1 or self.iterations < 0:
@@ -197,8 +208,7 @@ def elbo(g: MolecularGraph, model: ModelParams, hyper: Hyperparams,
     so a fixed generator state fixes the value.
     """
     post = posterior(g, model.encoder, model.table)
-    eps = rng.standard_normal((g.n, hyper.D))
-    z = T.add(post.mu, T.mul(post.sigma, T.Tensor(eps)))
+    z = sample_latent(post, rng).z
     recon = None
     for _ in range(hyper.S):
         src = sample_source(g, hyper.source_kind, rng)
@@ -332,7 +342,7 @@ def load_checkpoint(path) -> Checkpoint:
         header_line = fh.readline()
         try:
             header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
             raise ValueError(f"{path}: not a checkpoint file") from exc
         if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -346,12 +356,23 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(raw_hyper, dict):
         raise ValueError(f"{path}: field 'hyper' is not an object")
     _check_keys(path, "hyperparameter", raw_hyper, Hyperparams().as_dict())
+    alphabet, lambda_n = header["alphabet"], header["lambda_n"]
+    if not isinstance(alphabet, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and is_integer(e[1]) for e in alphabet):
+        raise ValueError(f"{path}: field 'alphabet' must list [symbol, valence] pairs")
+    if not _finite_positive(lambda_n):
+        raise ValueError(f"{path}: field 'lambda_n' must be finite and positive")
+    if not is_integer(header["iteration"]) or header["iteration"] < 0:
+        raise ValueError(f"{path}: field 'iteration' must be a count")
     try:
         hyper = Hyperparams(**raw_hyper)
-        table = ValenceTable({s: int(v) for s, v in header["alphabet"]})
+        if 16 * hyper.K * hyper.D ** 2 > len(blob):  # the encoder's 2 K D^2 floats
+            raise ValueError(f"D={hyper.D}, K={hyper.K} imply more tensor"
+                             f" bytes than the file's {len(blob)}")
+        table = ValenceTable(dict(alphabet))
         model = init_model(np.random.default_rng(0), hyper, table,
-                           float(header["lambda_n"]))
-        iteration = int(header["iteration"])
+                           float(lambda_n))
         entries = {e["name"]: e for e in header["tensors"]}
     except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
@@ -369,4 +390,4 @@ def load_checkpoint(path) -> Checkpoint:
         if arr.size != t.data.size:
             raise ValueError(f"{path}: truncated tensor {name!r}")
         t.data = arr.reshape(t.shape).copy()
-    return Checkpoint(model, hyper, iteration)
+    return Checkpoint(model, hyper, header["iteration"])

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import molvae.tensor as T
-from molvae.decoder import (edge_count_dist, edge_logits, edge_step_logprob,
-                            graph_logprob, init_decoder, order_logits,
-                            poisson_logpmf, sample_graph, type_logits)
+from molvae.decoder import (edge_step_logprob, graph_logprob, heads,
+                            init_decoder, poisson_logpmf, sample_graph)
 from molvae.encoder import posterior
 from molvae.latentopt import (PropertyOracle, bo_loop, expected_improvement,
                               make_molecule_decoder, molecule_embedding,
@@ -192,16 +191,16 @@ def test_05_negative_sampling_partition_and_scaling(capfd):
         g = _molecule_of_size(rng, 4, 10)
         state = make_state("none", atom_types=g.atom_types, table=DEFAULT_TABLE)
         pair = (g.bonds[0][0], g.bonds[0][1])
-        z = T.Tensor(rng.standard_normal((g.n, 5)))
+        h = heads(T.Tensor(rng.standard_normal((g.n, 5))), dec)
         cands = state.candidates()
-        logits = edge_logits(z, cands, dec).data
+        logits = h.edges.data[[u * g.n + v for u, v in cands]]
         shift = logits.max()
         exact = shift + math.log(np.exp(logits - shift).sum())
         s_true = logits[cands.index(pair)]
         trial_rng = np.random.default_rng(300 + i)
         est = np.empty(1000)
         for t in range(1000):
-            lp = edge_step_logprob(z, state, pair, dec,
+            lp = edge_step_logprob(h, state, pair,
                                    partition="negative_sampled", L=10,
                                    rng=trial_rng).item()
             est[t] = s_true - lp
@@ -234,7 +233,7 @@ def test_05_negative_sampling_partition_and_scaling(capfd):
             ok, f"worst drift {worst_rel:.3f}, time ratio {ratio:.2f}")
 
 
-def _outcome_mass(dec, zt, atoms, budget, generated, rejected, memo):
+def _outcome_mass(scores, atoms, budget, generated, rejected, memo):
     """Total probability of every edge-loop continuation from this state.
 
     Mirrors the sampler step for step: candidates are re-queried after each
@@ -258,20 +257,20 @@ def _outcome_mass(dec, zt, atoms, budget, generated, rejected, memo):
     if not cands:
         memo[key] = 1.0
         return 1.0
-    probs = _softmax_np(edge_logits(zt, cands, dec).data)
+    edges, orders = scores
+    probs = _softmax_np(np.array([edges[pair] for pair in cands]))
     total = 0.0
     for p_edge, pair in zip(probs, cands):
         allowed = state.allowed_orders(pair)
         if not allowed:
-            total += p_edge * _outcome_mass(dec, zt, atoms, budget,
+            total += p_edge * _outcome_mass(scores, atoms, budget,
                                             generated, rejected | {pair}, memo)
             continue
-        ol = order_logits(zt, pair, dec).data
-        sub = _softmax_np(np.array([ol[m - 1] for m in allowed]))
+        sub = _softmax_np(np.array([orders[pair][m - 1] for m in allowed]))
         for p_order, order in zip(sub, allowed):
             committed = dict(generated)
             committed[pair] = order
-            total += p_edge * p_order * _outcome_mass(dec, zt, atoms,
+            total += p_edge * p_order * _outcome_mass(scores, atoms,
                                                       budget - 1, committed,
                                                       rejected, memo)
     memo[key] = total
@@ -286,10 +285,10 @@ def test_06_three_node_outcome_tree_sums_to_one(capfd):
     highest = -math.inf
     for grid in itertools.product((-1.0, 0.0, 1.0), repeat=3):
         z = np.array([[c] * 4 for c in grid])
-        zt = T.Tensor(z)
-        tprob = [_softmax_np(row) for row in type_logits(zt, dec).data]
-        rate, log_rate = edge_count_dist(zt, dec)
-        pmf = [math.exp(poisson_logpmf(l, rate, log_rate).item())
+        h = heads(T.Tensor(z), dec)
+        scores = (h.edges.data.reshape(3, 3), h.orders.data.reshape(3, 3, 3))
+        tprob = [_softmax_np(row) for row in h.types.data]
+        pmf = [math.exp(poisson_logpmf(l, h.rate, h.log_rate).item())
                for l in range(3)]
         tail = 1.0 - sum(pmf)
         total = 0.0
@@ -297,7 +296,7 @@ def test_06_three_node_outcome_tree_sums_to_one(capfd):
             p_atoms = tprob[0][combo[0]] * tprob[1][combo[1]] * tprob[2][combo[2]]
             atoms = tuple(symbols[k] for k in combo)
             memo = {}
-            mass = [_outcome_mass(dec, zt, atoms, budget, {}, frozenset(), memo)
+            mass = [_outcome_mass(scores, atoms, budget, {}, frozenset(), memo)
                     for budget in range(4)]
             # with three candidate pairs every run with budget >= 3 ends in
             # the same states as budget 3, so the Poisson tail reuses mass[3]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from molvae.molgraph import BOND_ORDERS, MolecularGraph, canonical_certificate
 
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=300)
 
 
 @st.composite

@@ -318,7 +318,7 @@ def test_bo_tiny_corpus_rejected(workspace, tmp_path):
     assert rc == 2
 
 
-def test_argparse_usage_errors(workspace):
+def test_argparse_usage_errors(workspace, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train"])                       # --corpus and --seed missing
     assert exc.value.code == 2
@@ -329,3 +329,30 @@ def test_argparse_usage_errors(workspace):
         main(["train", "--corpus", workspace["corpus_path"], "--seed", "0",
               "--mask", "nonsense"])
     assert exc.value.code == 2
+    # out-of-range values exit 2 before any input is read or output written
+    corpus, ckpt = workspace["corpus_path"], workspace["checkpoint"]
+    bo = ["bo", "--corpus", corpus, "--checkpoint", ckpt, "--seed", "1"]
+    for argv, flag in (
+            (["train", "--corpus", corpus, "--seed", "0", "--iters", "0"],
+             "--iters"),
+            (["train", "--corpus", corpus, "--seed", "0", "--lr", "nan"],
+             "--lr"),
+            (["train", "--corpus", corpus, "--seed", "-1"], "--seed"),
+            (["train", "--corpus", corpus, "--seed", "0", "--D", "3"], "--D"),
+            (bo + ["--inducing", "0"], "--inducing"),
+            (bo + ["--batch-size", "0"], "--batch-size"),
+            (bo + ["--test-fraction", "nan"], "--test-fraction"),
+            (["synth", "--experiment", "ba", "--nodes", "1"], "--nodes"),
+            (["synth", "--experiment", "triangle_free", "--nodes", "3"],
+             "--nodes"),
+            (["synth", "--experiment", "triangle_free", "--samples", "0"],
+             "--samples"),
+            (["synth", "--experiment", "kronecker", "--count", "9"],
+             "--count"),
+            (["perturb", "--corpus", corpus, "--checkpoint", ckpt,
+              "--mol", "0", "--node", "0", "--amplitudes", "0,nan"],
+             "--amplitudes")):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out-dir", str(out)]) == 2, argv
+        assert flag in capsys.readouterr().err
+        assert not out.exists()

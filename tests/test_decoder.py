@@ -7,11 +7,10 @@ import pytest
 
 from molvae import decoder
 from molvae import tensor as T
-from molvae.decoder import (DecoderParams, draw_heads, edge_count_dist,
-                            edge_logits, edge_step_logprob, feature_logprob,
-                            graph_logprob, init_decoder, order_logits,
-                            poisson_logpmf, sample_graph, type_logits,
-                            weight_step_logprob)
+from molvae.decoder import (edge_count_dist, edge_step_logprob,
+                            feature_logprob, graph_logprob, heads,
+                            init_decoder, poisson_logpmf, sample_graph,
+                            type_logits, weight_step_logprob)
 from molvae.masks import MASK_KINDS, MaskState, make_state
 from molvae.molgraph import (DEFAULT_TABLE, MolecularGraph, valence_ok)
 
@@ -24,11 +23,30 @@ def _zt(n, D, seed=1):
     return T.Tensor(np.random.default_rng(seed).standard_normal((n, D)))
 
 
+def _softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _pair_scores(z, params):
+    """Per-pair reference for the pair heads: softplus((z_u + z_v) w^T + b)
+    for every ordered pair, one pair at a time."""
+    z = z.data if isinstance(z, T.Tensor) else z
+    n = z.shape[0]
+    edges = np.zeros((n, n))
+    orders = np.zeros((n, n, 3))
+    for u in range(n):
+        for v in range(n):
+            x = z[u] + z[v]
+            edges[u, v] = _softplus(params.w_edge.data @ x + params.b_edge.data)[0]
+            orders[u, v] = _softplus(params.w_order.data @ x + params.b_order.data)
+    return edges, orders
+
+
 # ---------------------------------------------------------------------------
 # normalization by enumeration
 
 
-def _enumerate_edge_tree(z, params, state, budget, acc=0.0):
+def _enumerate_edge_tree(scores, state, budget, acc=0.0):
     """Sum of probabilities over every edge-process outcome with ``budget``
     steps left.  Rejections do not consume budget, matching the sampler."""
     if budget == 0:
@@ -36,7 +54,8 @@ def _enumerate_edge_tree(z, params, state, budget, acc=0.0):
     cands = state.candidates()
     if not cands:
         return math.exp(acc)  # forced stop, probability one
-    logits = edge_logits(z, cands, params).data
+    edges, orders = scores
+    logits = np.array([edges[pair] for pair in cands])
     logp = logits - logits.max()
     logp = logp - math.log(np.exp(logp).sum())
     total = 0.0
@@ -45,17 +64,16 @@ def _enumerate_edge_tree(z, params, state, budget, acc=0.0):
         if not allowed:
             saved = _snapshot(state)
             state.reject(pair)
-            total += _enumerate_edge_tree(z, params, state, budget, acc + logp[i])
+            total += _enumerate_edge_tree(scores, state, budget, acc + logp[i])
             _restore(state, saved)
             continue
-        ol = order_logits(z, pair, params).data
-        sub = np.array([ol[m - 1] for m in allowed])
+        sub = np.array([orders[pair][m - 1] for m in allowed])
         op = sub - sub.max()
         op = op - math.log(np.exp(op).sum())
         for j, order in enumerate(allowed):
             saved = _snapshot(state)
             state.commit(pair, order)
-            total += _enumerate_edge_tree(z, params, state, budget - 1,
+            total += _enumerate_edge_tree(scores, state, budget - 1,
                                           acc + logp[i] + op[j])
             _restore(state, saved)
     return total
@@ -82,7 +100,7 @@ def test_edge_process_normalizes(mask_kind, atoms, l):
     params = _params(D=3, seed=5)
     z = _zt(len(atoms), 3, seed=7)
     state = make_state(mask_kind, atom_types=atoms, table=DEFAULT_TABLE)
-    total = _enumerate_edge_tree(z, params, state, l)
+    total = _enumerate_edge_tree(_pair_scores(z, params), state, l)
     assert abs(total - 1.0) < 1e-10
 
 
@@ -93,7 +111,8 @@ def test_type_distribution_normalizes():
     p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = p / p.sum(axis=1, keepdims=True)
     assert np.allclose(p.sum(axis=1), 1.0)
-    lp = feature_logprob(MolecularGraph(("C", "H", "N", "O", "C"), ()), z, params)
+    lp = feature_logprob(MolecularGraph(("C", "H", "N", "O", "C"), ()),
+                         heads(z, params))
     hand = sum(math.log(p[u][DEFAULT_TABLE.index(s)])
                for u, s in enumerate(("C", "H", "N", "O", "C")))
     assert abs(lp.item() - hand) < 1e-9
@@ -146,7 +165,7 @@ def test_trace_rejection_path_via_stub_rule():
     for seed in range(40):
         state = MaskState(3, rules=(NoOrderOnFirstPair(),))
         z = np.random.default_rng(seed).standard_normal((3, 3))
-        zt = T.Tensor(z)
+        scores, _ = _pair_scores(z, params)
         edges = []
         steps = []
         local = np.random.default_rng(seed)
@@ -154,7 +173,7 @@ def test_trace_rejection_path_via_stub_rule():
             cands = state.candidates()
             if not cands:
                 break
-            logits = edge_logits(zt, cands, params).data
+            logits = np.array([scores[pair] for pair in cands])
             p = np.exp(logits - logits.max())
             p /= p.sum()
             idx = int(local.choice(len(p), p=p))
@@ -234,13 +253,14 @@ def test_zero_truncated_node_count():
 
 
 # ---------------------------------------------------------------------------
-# the tape-free sampler against the taped reference
+# the sampler against the taped reference
 
 
 def _taped_sample_graph(params, rng, *, lambda_n=None, n=None, z=None,
                         mask_kind="valence", table=None):
-    """The sampler as it was on the tape: every head rebuilt from Tensor ops
-    at each step, and every choice drawn by ``rng.choice``."""
+    """The sampler with its type and rate heads from the taped
+    ``type_logits`` and ``edge_count_dist``, its pair heads from the
+    per-pair ``_pair_scores``, and every choice drawn by ``rng.choice``."""
     def choice(logits):
         p = np.exp(logits - logits.max())
         p = p / p.sum()
@@ -272,6 +292,7 @@ def _taped_sample_graph(params, rng, *, lambda_n=None, n=None, z=None,
     rate, log_rate = edge_count_dist(zt, params)
     l = int(rng.poisson(rate.item()))
     steps.append(("edge_count", l, poisson_logpmf(l, rate, log_rate).item()))
+    scores, order_scores = _pair_scores(z, params)
     state = decoder.make_state(mask_kind, atom_types=atoms, table=table)
     edges = []
     early = False
@@ -281,7 +302,7 @@ def _taped_sample_graph(params, rng, *, lambda_n=None, n=None, z=None,
             early = True
             steps.append(("stop", len(edges), 0.0))
             break
-        idx, logp = choice(edge_logits(zt, cands, params).data)
+        idx, logp = choice(np.array([scores[pair] for pair in cands]))
         pair = cands[idx]
         allowed = state.allowed_orders(pair)
         if not allowed:
@@ -289,7 +310,7 @@ def _taped_sample_graph(params, rng, *, lambda_n=None, n=None, z=None,
             steps.append(("reject", pair, logp))
             continue
         steps.append(("edge", pair, logp))
-        ol = order_logits(zt, pair, params).data
+        ol = order_scores[pair]
         oidx, ologp = choice(np.array([ol[m - 1] for m in allowed]))
         steps.append(("order", (pair, allowed[oidx]), ologp))
         state.commit(pair, allowed[oidx])
@@ -350,32 +371,33 @@ def test_sampler_matches_taped_reference(monkeypatch, mask_kind, entry):
         assert "reject" in kinds
 
 
-def test_draw_heads_match_taped_heads():
+def test_heads_match_per_pair_reference():
     params = _with_biases(_params(D=5, seed=67), seed=68)
     z = np.random.default_rng(3).standard_normal((9, 5))
-    zt = T.Tensor(z)
-    heads = draw_heads(z, params)
-    assert np.max(np.abs(heads.types - type_logits(zt, params).data)) <= 1e-12
-    rate, log_rate = edge_count_dist(zt, params)
-    assert abs(heads.rate - rate.item()) <= 1e-12 * rate.item()
-    assert abs(heads.log_rate - log_rate.item()) <= 1e-12
-    pairs = [(u, v) for u in range(9) for v in range(9) if u != v]
-    taped = edge_logits(zt, pairs, params).data
-    mine = np.array([heads.edges[u, v] for u, v in pairs])
-    assert np.max(np.abs(mine - taped)) <= 1e-12
-    for pair in pairs:
-        assert np.max(np.abs(heads.orders[pair]
-                             - order_logits(zt, pair, params).data)) <= 1e-12
+    h = heads(T.Tensor(z), params)
+    types = _softplus(z @ params.w_type.data.T + params.b_type.data)
+    assert np.max(np.abs(h.types.data - types)) <= 1e-12
+    pooled = _softplus(z @ params.w_count.data.T + params.b_count.data).sum(axis=0)
+    log_rate = pooled @ params.w_count_out.data[0] + params.b_count_out.data
+    assert abs(h.log_rate.item() - log_rate) <= 1e-12
+    assert abs(h.rate.item() - math.exp(log_rate)) <= 1e-12 * math.exp(log_rate)
+    edges, orders = _pair_scores(z, params)
+    assert h.edges.shape == (81,) and h.orders.shape == (243,)
+    assert np.max(np.abs(h.edges.data - edges.ravel())) <= 1e-12
+    assert np.max(np.abs(h.orders.data - orders.ravel())) <= 1e-12
 
 
 def test_sampler_rejects_non_finite_heads():
     params = _params(D=3, seed=71)
     z = np.zeros((4, 3))
     z[2, 1] = np.nan
-    with pytest.raises(FloatingPointError, match="non-finite type head"):
-        sample_graph(params, np.random.default_rng(0), z=z)
+    with pytest.raises(FloatingPointError,
+                       match="non-finite value produced by op 'matmul'"):
+        with np.errstate(invalid="ignore"):
+            sample_graph(params, np.random.default_rng(0), z=z)
     params.w_edge = T.Tensor(np.full((1, 3), 1e308))
-    with pytest.raises(FloatingPointError, match="non-finite edge head"):
+    with pytest.raises(FloatingPointError,
+                       match="non-finite value produced by op 'matmul'"):
         with np.errstate(over="ignore", invalid="ignore"):
             sample_graph(params, np.random.default_rng(0), z=np.ones((4, 3)))
     params = _params(D=3, seed=71)
@@ -384,7 +406,29 @@ def test_sampler_rejects_non_finite_heads():
         sample_graph(params, np.random.default_rng(0), n=4)
 
 
-def test_sampler_records_nothing_on_the_tape(monkeypatch):
+@pytest.mark.parametrize("mask_kind", ["none", "valence"])
+@pytest.mark.parametrize("b_count_out", [44.0, 50.0])
+def test_sampler_edge_rate_above_poisson_limit(mask_kind, b_count_out):
+    """numpy draws no Poisson variate above a rate of about 9.2e18; such a
+    draw requests one edge more than the 15 pairs of six nodes."""
+    params = init_decoder(np.random.default_rng(4), 4)
+    params.b_count_out = T.Tensor(b_count_out)
+    above = 0
+    for seed in range(20):
+        g, trace = sample_graph(params, np.random.default_rng(seed), n=6,
+                                mask_kind=mask_kind)
+        assert trace.steps[-1][0] == "stop" and trace.early_stopped
+        if mask_kind == "valence":
+            assert valence_ok(g)
+        else:
+            assert len(g.bonds) == 15
+        if trace.edge_count == 16:
+            above += 1
+            assert ("edge_count", 16, 0.0) in trace.steps
+    assert above > 0
+
+
+def test_sampler_emits_only_the_heads(monkeypatch):
     calls = []
     emit = T._emit
 
@@ -395,15 +439,17 @@ def test_sampler_records_nothing_on_the_tape(monkeypatch):
     monkeypatch.setattr(T, "_emit", counting_emit)
     params = _params(D=4, seed=61)
     params.b_count_out = T.Tensor(2.0)
-    kinds = set()
-    for seed in range(5):
+    heads(T.Tensor(np.zeros((2, 4))), params)
+    per_heads = list(calls)
+    assert per_heads
+    step_counts = set()
+    for seed in range(8):
+        calls.clear()
         _, trace = sample_graph(params, np.random.default_rng(seed),
                                 lambda_n=6.0)
-        kinds.update(kind for kind, _, _ in trace.steps)
-    assert "edge" in kinds
-    assert calls == []
-    type_logits(T.Tensor(np.zeros((2, 4))), params)  # the patch does count
-    assert calls
+        assert calls == per_heads
+        step_counts.add(len(trace.steps))
+    assert len(step_counts) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +461,9 @@ def test_negative_sampled_matches_exact_when_pool_covered():
     z = _zt(5, 4, seed=2)
     state = make_state("none", n=5)
     rng = np.random.default_rng(0)
-    exact = edge_step_logprob(z, state, (0, 1), params, partition="exact")
-    est = edge_step_logprob(z, state, (0, 1), params,
+    h = heads(z, params)
+    exact = edge_step_logprob(h, state, (0, 1), partition="exact")
+    est = edge_step_logprob(h, state, (0, 1),
                             partition="negative_sampled", L=50, rng=rng)
     assert abs(exact.item() - est.item()) < 1e-12
 
@@ -425,7 +472,7 @@ def test_negative_sampled_single_candidate_is_certain():
     params = _params(D=3, seed=29)
     z = _zt(2, 3, seed=4)
     state = make_state("none", n=2)
-    est = edge_step_logprob(z, state, (0, 1), params,
+    est = edge_step_logprob(heads(z, params), state, (0, 1),
                             partition="negative_sampled", L=10,
                             rng=np.random.default_rng(1))
     assert est.item() == 0.0
@@ -437,9 +484,10 @@ def test_negative_sampled_mean_brackets_exact():
     params = _params(D=4, seed=31)
     z = _zt(8, 4, seed=6)
     state = make_state("none", n=8)
-    exact = edge_step_logprob(z, state, (2, 5), params, partition="exact").item()
+    h = heads(z, params)
+    exact = edge_step_logprob(h, state, (2, 5), partition="exact").item()
     rng = np.random.default_rng(7)
-    draws = [edge_step_logprob(z, state, (2, 5), params,
+    draws = [edge_step_logprob(h, state, (2, 5),
                                partition="negative_sampled", L=6,
                                rng=rng).item()
              for _ in range(3000)]
@@ -535,10 +583,11 @@ def test_error_paths():
         graph_logprob(g, z, [(0, 1), (0, 1)], params)
     state = make_state("valence", atom_types=("H", "H"), table=DEFAULT_TABLE)
     with pytest.raises(ValueError):
-        weight_step_logprob(z, state, (0, 1), 3, params)  # H-H triple bond
+        weight_step_logprob(heads(z, params), state, (0, 1), 3)  # H-H triple bond
     with pytest.raises(ValueError):
-        edge_step_logprob(z, state, (0, 1), params, partition="bogus")
+        edge_step_logprob(heads(z, params), state, (0, 1), partition="bogus")
     with pytest.raises(ValueError):
-        edge_step_logprob(z, state, (0, 1), params, partition="negative_sampled")
+        edge_step_logprob(heads(z, params), state, (0, 1),
+                          partition="negative_sampled")
     with pytest.raises(ValueError):
         sample_graph(params, np.random.default_rng(0))  # no size source

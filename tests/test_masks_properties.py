@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from molvae import masks as K
 
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=100)
 
 
 def _brute_masked_free(state, rule):
