@@ -21,9 +21,6 @@ import numpy as np
 
 from .decoder import sample_graph
 from .encoder import posterior
-from .latentopt import (PropertyOracle, bo_loop, make_molecule_decoder,
-                        molecule_embedding, proxy_property, sgp_loglik,
-                        sgp_predict)
 from .molgraph import (DEFAULT_TABLE, MolecularGraph, compute_metrics,
                        graph_to_obj, parse_corpus, random_molecule, to_dot,
                        valence_ok, write_corpus)
@@ -437,6 +434,11 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_bo(cfg: RunConfig) -> int:
+    # imported here so the other subcommands start without SciPy
+    from .latentopt import (PropertyOracle, bo_loop, make_molecule_decoder,
+                            molecule_embedding, proxy_property, sgp_loglik,
+                            sgp_predict)
+
     ckpt = _load_checkpoint(cfg)
     corpus = _load_corpus(cfg)
     if len(corpus) < 3:

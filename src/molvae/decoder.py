@@ -8,8 +8,12 @@ training (exact or negative-sampled edge partitions) and untaped scoring.
 
 Every head is defined once, in ``heads``, and evaluated once per graph:
 the edge and bond-order heads are linear in z_u + z_v, so one projection
-per node scores every pair.  Each likelihood step gathers its candidates'
-scores; the sampler reads the same scores untaped.
+per node scores every pair.  The likelihood scores the whole edge sequence
+as one tape op over those score arrays: its forward pass walks the mask
+state step by step, and its backward pass scatters every step's one-hot
+minus softmax into one gradient array per score array.  It equals the
+composition of the per-step ``edge_step_logprob`` and
+``weight_step_logprob``.  The sampler reads the same scores untaped.
 
 Sampling with a mask state guarantees the masked property by construction:
 masked pairs and orders are never proposed, a pair with no allowed order is
@@ -163,6 +167,37 @@ def feature_logprob(g: MolecularGraph, h: Heads,
     return T.sum_all(own) - T.sum_all(norm)
 
 
+def _edge_terms(state: MaskState, pair, n: int, partition: str, L: int,
+                rng: np.random.Generator | None):
+    """Flat edge-score indices of one edge step's softmax terms, with the
+    constant added to each term (None for ``exact``); (None, None) when
+    negative sampling finds no other candidate, a certain step."""
+    if not state.edge_mask(pair):
+        raise ValueError(f"edge {pair} is masked or already used")
+    if partition == "exact":
+        return _edge_index(state.candidates(), n), None
+    if partition != "negative_sampled":
+        raise ValueError(f"unknown partition mode {partition!r}")
+    if rng is None:
+        raise ValueError("negative_sampled partition needs an rng")
+    pool = state.candidate_count(exclude=pair)
+    negs = state.sample_candidates(rng, L, exclude=pair)
+    if not negs:
+        return None, None
+    offset = np.full(len(negs) + 1, math.log(pool / len(negs)))
+    offset[0] = 0.0
+    return _edge_index([pair] + negs, n), offset
+
+
+def _order_terms(state: MaskState, pair, order: int, n: int) -> tuple[list[int], int]:
+    """Flat order-score indices of the pair's allowed orders, and the
+    position of ``order`` among them."""
+    allowed = state.allowed_orders(pair)
+    if order not in allowed:
+        raise ValueError(f"order {order} masked for pair {pair} (allowed {allowed})")
+    return _order_index(pair, n, allowed), allowed.index(order)
+
+
 def edge_step_logprob(h: Heads, state: MaskState, pair,
                       partition: str = "exact", L: int = 10,
                       rng: np.random.Generator | None = None) -> T.Tensor:
@@ -174,33 +209,85 @@ def edge_step_logprob(h: Heads, state: MaskState, pair,
     reduces to the exact sum.
     """
     pair = (min(pair), max(pair))
-    if not state.edge_mask(pair):
-        raise ValueError(f"edge {pair} is masked or already used")
     n = h.types.shape[0]
-    if partition == "exact":
-        terms = T.gather_rows(h.edges, _edge_index(state.candidates(), n))
-    elif partition == "negative_sampled":
-        if rng is None:
-            raise ValueError("negative_sampled partition needs an rng")
-        pool = state.candidate_count(exclude=pair)
-        negs = state.sample_candidates(rng, L, exclude=pair)
-        if not negs:
-            return T.Tensor(0.0)
-        offset = np.full(len(negs) + 1, math.log(pool / len(negs)))
-        offset[0] = 0.0
-        terms = T.gather_rows(h.edges, _edge_index([pair] + negs, n)) + offset
-    else:
-        raise ValueError(f"unknown partition mode {partition!r}")
+    idx, offset = _edge_terms(state, pair, n, partition, L, rng)
+    if idx is None:
+        return T.Tensor(0.0)
+    terms = T.gather_rows(h.edges, idx)
+    if offset is not None:
+        terms = terms + offset
     return T.gather_rows(h.edges, pair[0] * n + pair[1]) - T.logsumexp(terms)
 
 
 def weight_step_logprob(h: Heads, state: MaskState, pair, order: int) -> T.Tensor:
     """Log-probability of the bond order under the masked order softmax."""
-    allowed = state.allowed_orders(pair)
-    if order not in allowed:
-        raise ValueError(f"order {order} masked for pair {pair} (allowed {allowed})")
-    visible = T.gather_rows(h.orders, _order_index(pair, h.types.shape[0], allowed))
-    return T.gather_rows(visible, allowed.index(order)) - T.logsumexp(visible)
+    idx, k = _order_terms(state, pair, order, h.types.shape[0])
+    visible = T.gather_rows(h.orders, idx)
+    return T.gather_rows(visible, k) - T.logsumexp(visible)
+
+
+_ONE = np.ones(1)  # the true term's +1 in a step's one-hot minus softmax
+
+
+def _scatter(like: np.ndarray, steps_idx, steps_val, g) -> np.ndarray:
+    """g times every step's (index, value) pairs summed into zeros, last
+    step first: the order in which the per-step composition's backward
+    adds them, so the sums round alike."""
+    out = np.zeros_like(like)
+    if steps_idx:
+        np.add.at(out, np.concatenate(steps_idx[::-1]),
+                  g * np.concatenate(steps_val[::-1]))
+    return out
+
+
+def _sequence_logprob(total: T.Tensor, h: Heads, state: MaskState, seq,
+                      bond_orders, partition: str, L: int,
+                      rng: np.random.Generator | None) -> T.Tensor:
+    """``total`` plus every edge and bond-order step of ``seq``, one tape op.
+
+    The forward pass makes the mask calls of ``edge_step_logprob`` and
+    ``weight_step_logprob`` in their order, so it draws the same negatives,
+    and adds each step's score[true] - logsumexp(terms) to the running total
+    as their composition does, so the value is bit-identical.  Under a tape
+    the backward pass scatters every step's one-hot minus softmax into one
+    gradient array per score array, in the composition's order, so the
+    gradients are bit-identical too.  Untaped, nothing is kept for it.
+    """
+    n = h.types.shape[0]
+    edges, orders = h.edges.data, h.orders.data
+    taped = T.recording()
+    # per step: indices and values of the one-hot minus softmax, the +1
+    # first for an edge step and last for an order step, as the
+    # composition's backward adds them
+    e_idx: list[np.ndarray] = []
+    e_val: list[np.ndarray] = []
+    o_idx: list[np.ndarray] = []
+    o_val: list[np.ndarray] = []
+    out = total.data
+    for pair in seq:
+        true = pair[0] * n + pair[1]
+        idx, offset = _edge_terms(state, pair, n, partition, L, rng)
+        if idx is not None:
+            terms = edges[idx] if offset is None else edges[idx] + offset
+            lse = T.logsumexp_array(terms)
+            out = out + (edges[true] - lse)
+            if taped:
+                e_idx.append(np.array([true] + idx, dtype=np.intp))
+                e_val.append(np.concatenate((_ONE, -np.exp(terms - lse))))
+        order = bond_orders[pair]
+        idx, k = _order_terms(state, pair, order, n)
+        visible = orders[idx]
+        lse = T.logsumexp_array(visible)
+        out = out + (visible[k] - lse)
+        if taped:
+            o_idx.append(np.array(idx + [idx[k]], dtype=np.intp))
+            o_val.append(np.concatenate((-np.exp(visible - lse), _ONE)))
+        state.commit(pair, order)
+
+    def backward(g):
+        return g, _scatter(edges, e_idx, e_val, g), _scatter(orders, o_idx, o_val, g)
+
+    return T.custom_op("edge_sequence", (total, h.edges, h.orders), out, backward)
 
 
 def graph_logprob(g: MolecularGraph, z: T.Tensor, edge_sequence,
@@ -210,7 +297,9 @@ def graph_logprob(g: MolecularGraph, z: T.Tensor, edge_sequence,
     """Log-likelihood of a graph under one edge generation order.
 
     ``edge_sequence`` lists (u, v) pairs covering g.bonds exactly once, in
-    the order the decoder is charged for them.
+    the order the decoder is charged for them.  The edge and bond-order
+    steps are one tape op, equal to the composition of ``edge_step_logprob``
+    and ``weight_step_logprob`` over the sequence.
     """
     table = table or DEFAULT_TABLE
     seq = [(min(u, v), max(u, v)) for u, v in edge_sequence]
@@ -221,11 +310,7 @@ def graph_logprob(g: MolecularGraph, z: T.Tensor, edge_sequence,
     total = feature_logprob(g, h, table)
     total = total + poisson_logpmf(len(seq), h.rate, h.log_rate)
     state = make_state(mask_kind, atom_types=g.atom_types, table=table)
-    for pair in seq:
-        total = total + edge_step_logprob(h, state, pair, partition, L, rng)
-        total = total + weight_step_logprob(h, state, pair, bond_orders[pair])
-        state.commit(pair, bond_orders[pair])
-    return total
+    return _sequence_logprob(total, h, state, seq, bond_orders, partition, L, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +328,32 @@ def _softmax_choice(rng: np.random.Generator, logits: np.ndarray) -> tuple[int, 
     return idx, float(np.log(p[idx]))
 
 
+_LN2 = math.log(2.0)
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - exp(-x)) for x > 0, accurate at both ends."""
+    return math.log(-math.expm1(-x)) if x < _LN2 else math.log1p(-math.exp(-x))
+
+
+def _zero_truncated_poisson(rng: np.random.Generator, lam: float) -> int:
+    """Draw n >= 1 from Poisson(lam) conditioned on n > 0.
+
+    Resamples while n == 0, up to 64 tries; after that (likely only for a
+    small rate) draws exactly: the first arrival time T of a rate-lam
+    process on [0, 1], given one arrives, by inverse CDF, then
+    n = 1 + Poisson(lam (1 - T)) for the arrivals after it.
+    """
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda_n must be finite and positive, got {lam!r}")
+    for _ in range(64):
+        n = int(rng.poisson(lam))
+        if n >= 1:
+            return n
+    t = -math.log1p(rng.random() * math.expm1(-lam)) / lam
+    return 1 + int(rng.poisson(lam * max(0.0, 1.0 - t)))
+
+
 def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
                  lambda_n: float | None = None, n: int | None = None,
                  z: np.ndarray | None = None, mask_kind: str = "valence",
@@ -250,8 +361,8 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
     """Draw one graph: node count, latents, atoms, edge count, edge steps.
 
     Provide ``z`` (and implicitly n) to decode a fixed latent set, ``n`` to
-    fix the size only, or ``lambda_n`` to draw n from a zero-truncated
-    Poisson.  The trace records every choice with its log-probability.
+    fix the size only, or ``lambda_n`` (finite and positive) to draw n
+    from a zero-truncated Poisson.  The trace records every choice with its log-probability.
     The heads come from ``heads``, once per draw; each step only indexes
     them.  A non-finite head, including one from a non-finite ``z``, raises
     FloatingPointError naming the op.  An edge-count rate above numpy's
@@ -268,13 +379,9 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
     elif n is None:
         if lambda_n is None:
             raise ValueError("need one of z, n, lambda_n")
-        # zero-truncated Poisson: resample while n == 0
-        while True:
-            n = int(rng.poisson(lambda_n))
-            if n >= 1:
-                break
+        n = _zero_truncated_poisson(rng, lambda_n)
         logp = poisson_logpmf(n, lambda_n, math.log(lambda_n)) \
-            - math.log1p(-math.exp(-lambda_n))  # over P(N > 0)
+            - _log1mexp(lambda_n)  # over P(N > 0)
         steps.append(("node_count", n, logp))
     if n < 1:
         raise ValueError("cannot sample an empty graph")

@@ -18,6 +18,11 @@ def _active_tape():
     return _tapes[-1] if _tapes else None
 
 
+def recording() -> bool:
+    """True inside a ``Tape`` block: ops are being recorded for gradients."""
+    return bool(_tapes)
+
+
 class Tensor:
     """A float64 numpy array participating in tape recording.
 
@@ -332,26 +337,29 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _emit("gather_rows", ad[idx], (a,), backward)
 
 
-def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
-    """Shift-stabilized log-sum-exp over all elements or one axis."""
-    ad = a.data
+def logsumexp_array(ad: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Shift-stabilized log-sum-exp of a plain array, over all elements or
+    one axis; the arithmetic of ``logsumexp`` and of fused ops using it."""
     if ad.size == 0:
         raise ValueError("logsumexp: empty input")
     if axis is None:
         m = ad.max()
-        out = m + np.log(np.sum(np.exp(ad - m)))
-        sm = np.exp(ad - out)
+        return m + np.log(np.sum(np.exp(ad - m)))
+    m = ad.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(ad - m), axis=axis))
 
+
+def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
+    """Shift-stabilized log-sum-exp over all elements or one axis."""
+    ad = a.data
+    out = logsumexp_array(ad, axis)
+    if axis is None:
         def backward(g):
-            return (g * sm,)
+            return (g * np.exp(ad - out),)
 
     else:
-        m = ad.max(axis=axis, keepdims=True)
-        out = np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(ad - m), axis=axis))
-        sm = np.exp(ad - np.expand_dims(out, axis))
-
         def backward(g):
-            return (np.expand_dims(g, axis) * sm,)
+            return (np.expand_dims(g, axis) * np.exp(ad - np.expand_dims(out, axis)),)
 
     return _emit("logsumexp", out, (a,), backward)
 

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import molvae
 from molvae import latentopt
 from molvae.cli import main, ranking_agreement
 from molvae.encoder import posterior
@@ -231,6 +236,17 @@ def test_synth_perm_drift_curves(tmp_path):
     assert sorted(curves) == ["degree", "max_degree", "uniform"]
     for curve in curves.values():
         assert curve and all(pt["distance"] >= 0.0 for pt in curve)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only ``bo`` needs SciPy; the other subcommands start without it."""
+    src = str(Path(molvae.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, molvae.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ranking_agreement_degenerate():

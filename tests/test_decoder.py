@@ -252,6 +252,69 @@ def test_zero_truncated_node_count():
     assert abs(counts[1] / 4000 - p1) < 0.035
 
 
+def test_zero_truncated_node_count_small_rate_frequencies():
+    """At rate 0.05 about 4% of draws (exp(-3.2)) fall back from resampling
+    to the exact draw; the mixture must still be the zero-truncated Poisson."""
+    from scipy.stats import chisquare
+
+    params = _params(D=2, seed=19)
+    lam = 0.05
+    rng = np.random.default_rng(321)
+    draws = 5000
+    ones = sum(sample_graph(params, rng, lambda_n=lam, mask_kind="none")[1].n == 1
+               for _ in range(draws))
+    p1 = lam * math.exp(-lam) / -math.expm1(-lam)
+    _, p_value = chisquare([ones, draws - ones], [draws * p1, draws * (1 - p1)])
+    assert p_value > 1e-3
+
+
+def test_zero_truncated_node_count_exact_draw():
+    """The draw after 64 zero tries, forced here at a rate where it differs
+    most from 1 + Poisson(lam), is the zero-truncated Poisson."""
+    from scipy.stats import chisquare, poisson
+
+    class ZerosFirst:
+        def __init__(self, rng):
+            self.rng, self.zeros = rng, 0
+
+        def poisson(self, lam):
+            self.zeros += 1
+            return 0 if self.zeros <= 64 else self.rng.poisson(lam)
+
+        def random(self):
+            return self.rng.random()
+
+    lam = 1.5
+    rng = np.random.default_rng(17)
+    draws = [decoder._zero_truncated_poisson(ZerosFirst(rng), lam)
+             for _ in range(4000)]
+    counts = np.bincount(draws, minlength=5)[1:]
+    counts = np.append(counts[:3], counts[3:].sum())
+    probs = poisson.pmf([1, 2, 3], lam) / -math.expm1(-lam)
+    probs = np.append(probs, 1 - probs.sum())
+    _, p_value = chisquare(counts, 4000 * probs)
+    assert p_value > 1e-3
+
+
+@pytest.mark.parametrize("lam", [1e-7, 1e-16, 1e-300])
+def test_zero_truncated_node_count_tiny_rate(lam):
+    params = _params(D=2, seed=19)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        _, trace = sample_graph(params, rng, lambda_n=lam, mask_kind="none")
+        kind, n, logp = trace.steps[0]
+        assert kind == "node_count" and n >= 1
+        if n == 1:
+            # log P(1 | N > 0) = -lam/2 + O(lam^2)
+            assert abs(logp + lam / 2) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_zero_truncated_node_count_rejects_invalid_rate(lam):
+    with pytest.raises(ValueError, match="lambda_n"):
+        sample_graph(_params(D=2), np.random.default_rng(0), lambda_n=lam)
+
+
 # ---------------------------------------------------------------------------
 # the sampler against the taped reference
 
@@ -341,6 +404,9 @@ class _NoOrderOnEveryThirdPair:
 
     def on_reject(self, state, pair):
         pass
+
+    def count_allowed(self, state, exclude):
+        return len(state.candidates(exclude))
 
 
 @pytest.mark.parametrize("mask_kind", MASK_KINDS + ("rejecting",))
@@ -530,6 +596,105 @@ def test_graph_logprob_gradients_negative_sampled():
 
     err = T.finite_diff_check(loss_fn, plist)
     assert err < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the fused edge-sequence op against the per-step composition
+
+
+def _composed_logprob(g, z, seq, params, partition, L, mask_kind, rng):
+    """graph_logprob as a composition of the per-step tape ops."""
+    h = heads(z, params)
+    total = feature_logprob(g, h) + poisson_logpmf(len(seq), h.rate, h.log_rate)
+    state = decoder.make_state(mask_kind, atom_types=g.atom_types,
+                               table=DEFAULT_TABLE)
+    orders = {(u, v): o for u, v, o in g.bonds}
+    for pair in seq:
+        total = total + edge_step_logprob(h, state, pair, partition, L, rng)
+        total = total + weight_step_logprob(h, state, pair, orders[pair])
+        state.commit(pair, orders[pair])
+    return total
+
+
+def _taped(fn, plist):
+    with T.Tape() as tape:
+        out = fn()
+    return out.item(), tape.gradients(out, plist)
+
+
+@pytest.mark.parametrize("mask_kind", MASK_KINDS + ("rejecting",))
+@pytest.mark.parametrize("partition", ["exact", "negative_sampled"])
+def test_graph_logprob_equals_step_composition(monkeypatch, mask_kind, partition):
+    sample_kind = mask_kind
+    if mask_kind == "rejecting":
+        monkeypatch.setattr(decoder, "make_state", lambda kind, atom_types, table:
+                            MaskState(len(atom_types), [_NoOrderOnEveryThirdPair()]))
+        sample_kind = "none"  # make_state is patched; the kind is unused
+    params = _with_biases(_params(D=4, seed=73), seed=74)
+    params.b_count_out = T.Tensor(9.0)  # a few edges per graph, up to 15
+    rng = np.random.default_rng(75)
+    scored = 0
+    for seed in range(30):
+        z0 = rng.standard_normal((int(rng.integers(2, 11)), 4))
+        g, trace = sample_graph(params, rng, z=z0, mask_kind=sample_kind)
+        seq = [(u, v) for u, v, _ in trace.edges]
+        seq = [seq[i] for i in rng.permutation(len(seq))]
+        plist = [t for _, t in params.tensors()] + [T.Tensor(z0)]
+        fused_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        value, grads = _taped(lambda: graph_logprob(
+            g, plist[-1], seq, params, partition=partition, L=3,
+            mask_kind=sample_kind, rng=fused_rng), plist)
+        ref, ref_grads = _taped(lambda: _composed_logprob(
+            g, plist[-1], seq, params, partition, 3, sample_kind, ref_rng), plist)
+        # bit for bit: the fused backward sums in the composition's order
+        assert value == ref
+        for ga, gb in zip(grads, ref_grads):
+            assert np.array_equal(ga, gb)
+        assert fused_rng.random() == ref_rng.random()
+        scored += len(seq) >= 2
+    assert scored >= 10
+
+
+def test_graph_logprob_tape_length_is_independent_of_bonds():
+    params = _params(D=4, seed=79)
+    z = _zt(6, 4, seed=13)
+    sparse = MolecularGraph(("C",) * 6, ((0, 1, 1), (2, 3, 1)))
+    dense = MolecularGraph(("C",) * 6, tuple((u, u + 1, 1) for u in range(5))
+                           + ((0, 5, 1),))
+    lengths = []
+    for g in (sparse, dense):
+        for partition in ("exact", "negative_sampled"):
+            with T.Tape() as tape:
+                graph_logprob(g, z, [(u, v) for u, v, _ in g.bonds], params,
+                              partition=partition, mask_kind="valence",
+                              rng=np.random.default_rng(0))
+            lengths.append(len(tape))
+    assert len(set(lengths)) == 1
+
+
+def test_graph_logprob_untaped_keeps_no_backward_buffers(monkeypatch):
+    params = _params(D=4, seed=83)
+    z = _zt(5, 4, seed=14)
+    g = MolecularGraph(("C", "C", "O", "N", "C"),
+                       ((0, 1, 2), (1, 2, 1), (1, 3, 1), (3, 4, 1)))
+    seq = [(0, 1), (1, 2), (1, 3), (3, 4)]
+    backwards = []
+    custom_op = T.custom_op
+
+    def capturing_op(name, inputs, out_data, backward):
+        if name == "edge_sequence":
+            backwards.append(backward)
+        return custom_op(name, inputs, out_data, backward)
+
+    monkeypatch.setattr(T, "custom_op", capturing_op)
+    with T.Tape() as tape:
+        taped = graph_logprob(g, z, seq, params, mask_kind="valence")
+    untaped = graph_logprob(g, z, seq, params, mask_kind="valence")
+    assert untaped.item() == taped.item()
+    assert len(tape) > 0 and not T.recording()
+    (_, ge_taped, go_taped), (_, ge, go) = (b(np.ones(())) for b in backwards)
+    assert np.any(ge_taped) and np.any(go_taped)
+    assert not np.any(ge) and not np.any(go)
 
 
 # ---------------------------------------------------------------------------
