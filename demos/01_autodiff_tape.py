@@ -17,7 +17,7 @@ b = T.Tensor(np.array([0.1, -0.2]))
 x = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
 
 with T.Tape() as tape:
-    h = T.softplus(T.add(T.matmul(T.Tensor(x), T.transpose(w)), b))
+    h = T.softplus(T.add(T.linear(T.Tensor(x), w), b))
     loss = T.sum_all(T.square(h))
 
 gw, gb = tape.gradients(loss, [w, b])
@@ -29,7 +29,7 @@ print("dL/db          :", np.round(gb, 6))
 
 
 def loss_fn():
-    h = T.softplus(T.add(T.matmul(T.Tensor(x), T.transpose(w)), b))
+    h = T.softplus(T.add(T.linear(T.Tensor(x), w), b))
     return T.sum_all(T.square(h))
 
 

@@ -36,10 +36,14 @@ MASK_FLAGS = {"none": "none", "valence": "valence",
 FLAG_MINIMUM = {"seed": 0, "count": 1, "steps": 1, "samples": 1, "iters": 1,
                 "batch_size": 1, "inducing": 1, "K": 1, "L": 1,
                 "D": len(DEFAULT_TABLE.symbols)}
-# smallest corpus size and max graph size per synth experiment: the ranked
-# ones score top and bottom tenths, and generators draw from 6 or 5 nodes up
-SYNTH_MINIMUM = {"triangle_free": (1, 6), "kronecker": (10, 1), "ba": (10, 2),
-                 "perm_drift": (1, 5)}
+# per synth experiment: the mask it trains, samples and scores under; the
+# smallest corpus size and max graph size (the ranked ones score top and
+# bottom tenths, and generators draw from 6, 2 or 5 nodes up); the default
+# corpus size and max graph size
+SYNTH_EXPERIMENTS = {"triangle_free": ("triangle_free", (1, 6), (60, 12)),
+                     "kronecker": ("none", (10, 2), (24, 8)),
+                     "ba": ("none", (10, 2), (30, 16)),
+                     "perm_drift": ("valence", (1, 5), (8, 8))}
 KRONECKER_INITIATOR = ((0.9, 0.6), (0.3, 0.2))
 
 
@@ -321,11 +325,11 @@ def ranking_agreement(true_scores, model_scores, fraction: float = 0.1):
 
 
 def _model_scores(graphs, ckpt: Checkpoint, seed: int):
-    """Deterministic per-graph ELBO under the trained model (exact
-    partition, no masking: synthetic graphs are not molecules)."""
+    """Deterministic per-graph ELBO under the trained model, exact
+    partition, under the mask it was trained with."""
     hyper = Hyperparams(
         D=ckpt.hyper.D, K=ckpt.hyper.K, L=ckpt.hyper.L, S=1,
-        mask_kind="none", partition="exact",
+        mask_kind=ckpt.hyper.mask_kind, partition="exact",
         source_kind=ckpt.hyper.source_kind, seed=seed)
     return [elbo(g, ckpt.model, hyper,
                  np.random.default_rng(seed + 31 * i)).item()
@@ -338,10 +342,10 @@ def _synth_triangle_free(cfg: RunConfig) -> dict:
     n_graphs = opts["count"]
     corpus = [gen_triangle_free(rng, int(rng.integers(6, opts["nodes"] + 1)))
               for _ in range(n_graphs)]
-    hyper = _hyper_from(cfg, mask_kind="triangle_free", source_kind="uniform")
+    hyper = _hyper_from(cfg, source_kind="uniform")
     ckpt = train(corpus, hyper)
     draws = _sample_many(ckpt.model, opts["samples"], cfg.seed + 1,
-                         "triangle_free")
+                         cfg.mask_kind)
     triangle_counts = [_count_triangles(g) for g, _ in draws]
     validity = sum(1 for c in triangle_counts if c == 0) / len(draws)
     write_corpus(corpus, cfg.out_dir / "synth_corpus.jsonl")
@@ -356,7 +360,9 @@ def _synth_ranked(cfg: RunConfig, kind: str) -> dict:
     rng = np.random.default_rng(cfg.seed)
     n_graphs = opts["count"]
     if kind == "kronecker":
-        spec = KroneckerSpec(KRONECKER_INITIATOR, k=3)
+        # the largest power of two nodes that --nodes allows
+        k = opts["nodes"].bit_length() - 1
+        spec = KroneckerSpec(KRONECKER_INITIATOR, k=k)
         graphs, true_ll = [], []
         while len(graphs) < n_graphs:
             g = gen_kronecker(spec, rng)
@@ -368,7 +374,7 @@ def _synth_ranked(cfg: RunConfig, kind: str) -> dict:
         samples = [gen_ba(opts["nodes"], 1, rng) for _ in range(n_graphs)]
         graphs = [s.graph for s in samples]
         true_ll = [loglik_ba(s) for s in samples]
-    hyper = _hyper_from(cfg, mask_kind="none", source_kind="uniform")
+    hyper = _hyper_from(cfg, source_kind="uniform")
     ckpt = train(graphs, hyper)
     model_ll = _model_scores(graphs, ckpt, cfg.seed + 7)
     rho, up, down = ranking_agreement(true_ll, model_ll)
@@ -393,7 +399,7 @@ def _synth_perm_drift(cfg: RunConfig) -> dict:
     stride = max(1, opts["iters"] // 10)
     curves = {}
     for kind in SOURCE_KINDS:
-        hyper = _hyper_from(cfg, mask_kind="valence", source_kind=kind)
+        hyper = _hyper_from(cfg, source_kind=kind)
         snaps: dict[int, dict[str, np.ndarray]] = {"a": {}, "b": {}}
 
         def recorder(side):
@@ -510,12 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
                     " synthetic-graph experiments, optimize properties.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, *, seed_required: bool):
+    def common(sp, *, seed_required: bool, mask: bool = True):
         sp.add_argument("--seed", type=int, required=seed_required,
                         default=None if seed_required else 0)
         sp.add_argument("--out-dir", default=".")
-        sp.add_argument("--mask", choices=sorted(MASK_FLAGS),
-                        default="valence")
+        if mask:
+            sp.add_argument("--mask", choices=sorted(MASK_FLAGS),
+                            default="valence")
 
     def hyper_flags(sp, iters_default: int):
         sp.add_argument("--D", type=int, default=5)
@@ -556,15 +563,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--node", type=int, required=True)
     sp.add_argument("--amplitudes", default="0,0.25,0.5,1.0")
 
-    sp = sub.add_parser("synth", help="synthetic-graph experiments")
-    common(sp, seed_required=False)
+    sp = sub.add_parser("synth", help="synthetic-graph experiments, each"
+                                      " under its own mask")
+    common(sp, seed_required=False, mask=False)
     sp.add_argument("--experiment", required=True,
-                    choices=["triangle_free", "kronecker", "ba",
-                             "perm_drift"])
+                    choices=list(SYNTH_EXPERIMENTS))
     sp.add_argument("--count", type=int, default=None,
                     help="corpus size (experiment-specific default)")
     sp.add_argument("--nodes", type=int, default=None,
-                    help="max graph size (experiment-specific default)")
+                    help="max graph size (experiment-specific default);"
+                         " kronecker graphs have the largest power of two"
+                         " nodes up to it")
     sp.add_argument("--samples", type=int, default=200,
                     help="triangle_free: molecules drawn after training")
     hyper_flags(sp, iters_default=80)
@@ -578,14 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--inducing", type=int, default=100)
     sp.add_argument("--test-fraction", type=float, default=0.1)
     return parser
-
-
-_SYNTH_DEFAULTS = {  # corpus size, max nodes
-    "triangle_free": (60, 12),
-    "kronecker": (24, 8),
-    "ba": (30, 16),
-    "perm_drift": (8, 8),
-}
 
 
 def _parse_amplitudes(raw: str) -> list[float]:
@@ -613,7 +614,8 @@ def _check_flags(options: dict) -> None:
         raise UsageError("--test-fraction must be in [0, 1),"
                          f" got {options['test_fraction']}")
     experiment = options.get("experiment")
-    for key, low in zip(("count", "nodes"), SYNTH_MINIMUM.get(experiment, ())):
+    minimum = SYNTH_EXPERIMENTS[experiment][1] if experiment else ()
+    for key, low in zip(("count", "nodes"), minimum):
         if options[key] < low:
             raise UsageError(f"--{key} must be >= {low} for {experiment},"
                              f" got {options[key]}")
@@ -624,7 +626,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                if k not in ("subcommand", "seed", "out_dir", "mask",
                             "corpus", "checkpoint")}
     if args.subcommand == "synth":
-        count_default, nodes_default = _SYNTH_DEFAULTS[args.experiment]
+        count_default, nodes_default = SYNTH_EXPERIMENTS[args.experiment][2]
         if options.get("count") is None:
             options["count"] = count_default
         if options.get("nodes") is None:
@@ -636,7 +638,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         subcommand=args.subcommand,
         out_dir=Path(args.out_dir),
         seed=args.seed,
-        mask_kind=MASK_FLAGS[args.mask],
+        mask_kind=(SYNTH_EXPERIMENTS[args.experiment][0]
+                   if args.subcommand == "synth" else MASK_FLAGS[args.mask]),
         corpus=getattr(args, "corpus", None),
         checkpoint=getattr(args, "checkpoint", None),
         options=options,

@@ -94,7 +94,7 @@ def init_decoder(rng: np.random.Generator, D: int, n_types: int = 4) -> DecoderP
 
 def type_logits(z: T.Tensor, params: DecoderParams) -> T.Tensor:
     """Positive atom-type logits, one row per node: softplus(W z_u + b)."""
-    return T.softplus(T.add(T.matmul(z, T.transpose(params.w_type)), params.b_type))
+    return T.softplus(T.add(T.linear(z, params.w_type), params.b_type))
 
 
 def edge_count_dist(z: T.Tensor, params: DecoderParams) -> tuple[T.Tensor, T.Tensor]:
@@ -103,9 +103,9 @@ def edge_count_dist(z: T.Tensor, params: DecoderParams) -> tuple[T.Tensor, T.Ten
     Per-node softplus features are summed over nodes before the linear
     scalar head, so any node relabeling leaves the rate unchanged.
     """
-    h = T.softplus(T.add(T.matmul(z, T.transpose(params.w_count)), params.b_count))
+    h = T.softplus(T.add(T.linear(z, params.w_count), params.b_count))
     pooled = T.reshape(T.sum_axis(h, axis=0), (1, -1))
-    log_rate = T.reshape(T.matmul(pooled, T.transpose(params.w_count_out)), ()) + params.b_count_out
+    log_rate = T.reshape(T.linear(pooled, params.w_count_out), ()) + params.b_count_out
     return T.exp(log_rate), log_rate
 
 
@@ -135,9 +135,9 @@ def heads(z: T.Tensor, params: DecoderParams) -> Heads:
     n = z.shape[0]
     types = type_logits(z, params)
     rate, log_rate = edge_count_dist(z, params)
-    a = T.matmul(z, T.transpose(params.w_edge))
-    edges = T.softplus(T.add(T.add(a, T.transpose(a)), params.b_edge))
-    o = T.matmul(z, T.transpose(params.w_order))
+    a = T.linear(z, params.w_edge)
+    edges = T.softplus(T.add(T.add(a, T.reshape(a, (1, n))), params.b_edge))
+    o = T.linear(z, params.w_order)
     pair_o = T.add(T.reshape(o, (n, 1, 3)), T.reshape(o, (1, n, 3)))
     orders = T.softplus(T.add(pair_o, params.b_order))
     return Heads(types, rate, log_rate, T.reshape(edges, (-1,)),
@@ -336,6 +336,12 @@ def _log1mexp(x: float) -> float:
     return math.log(-math.expm1(-x)) if x < _LN2 else math.log1p(-math.exp(-x))
 
 
+def node_count_logpmf(n: int, lambda_n: float) -> float:
+    """log P(N = n) under the zero-truncated Poisson node-count law, n >= 1:
+    the law ``sample_graph`` draws n from and ``training.elbo`` charges."""
+    return poisson_logpmf(n, lambda_n, math.log(lambda_n)) - _log1mexp(lambda_n)
+
+
 def _zero_truncated_poisson(rng: np.random.Generator, lam: float) -> int:
     """Draw n >= 1 from Poisson(lam) conditioned on n > 0.
 
@@ -380,9 +386,7 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
         if lambda_n is None:
             raise ValueError("need one of z, n, lambda_n")
         n = _zero_truncated_poisson(rng, lambda_n)
-        logp = poisson_logpmf(n, lambda_n, math.log(lambda_n)) \
-            - _log1mexp(lambda_n)  # over P(N > 0)
-        steps.append(("node_count", n, logp))
+        steps.append(("node_count", n, node_count_logpmf(n, lambda_n)))
     if n < 1:
         raise ValueError("cannot sample an empty graph")
     if z is None:

@@ -7,9 +7,10 @@ embeddings.  A two-layer softplus head turns the concatenated hops into a
 per-node diagonal Gaussian posterior.
 
 Aggregation accumulates neighbor vectors in ascending lexicographic order
-and the affine layers use a row-stable matvec, so relabeling the nodes
-permutes every intermediate bit-for-bit: posterior multisets are exactly
-invariant, not just up to float noise.
+and every affine layer is the row-stable ``tensor.linear``, the one
+projection op, so relabeling the nodes permutes every intermediate
+bit-for-bit: posterior multisets are exactly invariant, not just up to
+float noise.
 """
 
 from __future__ import annotations
@@ -129,11 +130,11 @@ def embed(g: MolecularGraph, params: EncoderParams,
     f = T.Tensor(features(g, params, table))
     adj = g.adjacency()
     hops = []
-    gated = T.matvec_rows(f, params.hops[0])
+    gated = T.linear(f, params.hops[0])
     hops.append(gated)
     prev = gated
     for k in range(1, params.K):
-        prev = T.mul(T.matvec_rows(f, params.hops[k]), _aggregate(prev, adj))
+        prev = T.mul(T.linear(f, params.hops[k]), _aggregate(prev, adj))
         hops.append(prev)
     return T.concat(hops, axis=1) if len(hops) > 1 else hops[0]
 
@@ -144,9 +145,9 @@ def posterior(g: MolecularGraph, params: EncoderParams,
     if g.n < 1:
         raise ValueError("cannot encode an empty graph")
     code = embed(g, params, table)
-    hidden = T.softplus(T.add(T.matvec_rows(code, params.w_hidden), params.b_hidden))
-    mu = T.softplus(T.add(T.matvec_rows(hidden, params.w_mu), params.b_mu))
-    sigma = T.softplus(T.add(T.matvec_rows(hidden, params.w_sigma), params.b_sigma))
+    hidden = T.softplus(T.add(T.linear(code, params.w_hidden), params.b_hidden))
+    mu = T.softplus(T.add(T.linear(hidden, params.w_mu), params.b_mu))
+    sigma = T.softplus(T.add(T.linear(hidden, params.w_sigma), params.b_sigma))
     return Posterior(mu, sigma)
 
 

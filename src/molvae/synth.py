@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .masks import make_state
 from .molgraph import MolecularGraph
 
 NEUTRAL_ATOM = "C"
@@ -177,28 +178,21 @@ def loglik_ba(sample: BASample) -> float:
 def gen_triangle_free(rng: np.random.Generator, n: int, p: float = 0.3,
                       maximal: bool = False) -> MolecularGraph:
     """Uniform random-pair draw filtered to stay triangle-free; optionally
-    augmented by a second randomized pass until no pair can be added."""
+    augmented by a second randomized pass until no pair can be added.  The
+    triangle rule is the decoder's ``triangle_free`` mask."""
     if n < 1:
         raise ValueError("need at least one node")
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = rng.random(len(all_pairs)) < p
     chosen = [pr for pr, k in zip(all_pairs, keep) if k]
     rest = [pr for pr, k in zip(all_pairs, keep) if not k]
-    adj: dict[int, set[int]] = {u: set() for u in range(n)}
-
-    def try_add(u, v, out):
-        if adj[u] & adj[v]:
-            return
-        adj[u].add(v)
-        adj[v].add(u)
-        out.append((u, v))
-
+    state = make_state("triangle_free", n=n)
     edges: list[tuple[int, int]] = []
-    for i in rng.permutation(len(chosen)):
-        try_add(*chosen[i], edges)
-    if maximal:
-        for i in rng.permutation(len(rest)):
-            try_add(*rest[i], edges)
+    for pool in (chosen, rest) if maximal else (chosen,):
+        for i in rng.permutation(len(pool)):
+            if state.edge_mask(pool[i]):
+                state.commit(pool[i], 1)
+                edges.append(pool[i])
     return as_molecule(n, edges)
 
 

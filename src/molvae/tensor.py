@@ -4,7 +4,8 @@ A dynamic tape records every operation of a forward pass; gradients are
 obtained by replaying the tape back to front.  All values are 64-bit floats.
 Operations invoked with no tape active simply compute their forward value,
 which gives a single code path for taped training, untaped scoring and
-sampling: the decoder's heads are the same ops in all three.
+sampling: the decoder's heads are the same ops in all three.  Every
+projection, in the encoder and in the decoder's heads, is ``linear``.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, wrap(other))
 
 
 def wrap(x) -> Tensor:
@@ -208,44 +206,19 @@ def square(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # matrix ops
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    out = a.data @ b.data
-    ad, bd = a.data, b.data
-
-    def backward(g):
-        return g @ bd.T, ad.T @ g
-
-    return _emit("matmul", out, (a, b), backward)
-
-
-def matvec_rows(x: Tensor, w: Tensor) -> Tensor:
-    """Row-stable ``x @ w.T``: each output row is computed as its own matvec.
-
-    The result for row i depends only on x[i] and w, never on which position
-    the row occupies, so permuting the rows of x permutes the output rows
-    bit-for-bit.  Used by the encoder, whose permutation invariance is
-    asserted at zero tolerance.
-    """
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ValueError("matvec_rows expects 2-D operands")
-    xd, wd = x.data, w.data
-    out = np.empty((xd.shape[0], wd.shape[0]), dtype=np.float64)
-    for i in range(xd.shape[0]):
-        out[i] = wd @ xd[i]
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """Row-stable ``x @ w.T``, the one projection op: permuting the rows of
+    x permutes the output rows bit-for-bit, which the encoder's exact
+    permutation invariance rests on.  BLAS promises no such thing, and
+    einsum sums in an order set by the memory layout, so x is made
+    C-contiguous first."""
+    xd, wd = np.ascontiguousarray(x.data), w.data
+    out = np.einsum("ij,kj->ik", xd, wd)
 
     def backward(g):
         return g @ wd, g.T @ xd
 
-    return _emit("matvec_rows", out, (x, w), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        return (g.T,)
-
-    return _emit("transpose", a.data.T, (a,), backward)
+    return _emit("linear", out, (x, w), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -1,10 +1,10 @@
 """ELBO objective, BFS edge orderings, and the optimization loop.
 
 The objective for one graph is the reconstruction term under a sampled edge
-generation order, minus the closed-form Gaussian KL, plus the Poisson
-log-pmf of the node count.  Edge orders come from breadth-first traversals
-with uniformly random tie-breaking, rooted at a node drawn from a
-configurable source distribution.  Training groups graphs by node count,
+generation order, minus the closed-form Gaussian KL, plus the log-pmf of the
+node count under the sampler's zero-truncated Poisson law.  Edge orders come
+from breadth-first traversals with uniformly random tie-breaking, rooted at a
+node drawn from a configurable source distribution.  Training groups graphs by node count,
 ascends the mean batch ELBO with Adam, and snapshots everything into a
 self-describing checkpoint file.
 """
@@ -12,7 +12,6 @@ self-describing checkpoint file.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from collections import deque
@@ -21,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .decoder import DecoderParams, graph_logprob, init_decoder
+from .decoder import (DecoderParams, graph_logprob, init_decoder,
+                      node_count_logpmf)
 from .encoder import EncoderParams, init_encoder, posterior, sample_latent
 from .masks import MASK_KINDS
 from .molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable, is_integer
@@ -99,8 +99,6 @@ def init_model(rng: np.random.Generator, hyper: Hyperparams,
                lambda_n: float = 1.0) -> ModelParams:
     table = table or DEFAULT_TABLE
     n_types = len(table.symbols)
-    if hyper.D < n_types:
-        raise ValueError(f"D={hyper.D} cannot one-hot {n_types} atom types")
     enc = init_encoder(rng, hyper.D, hyper.K, n_types)
     dec = init_decoder(rng, hyper.D, n_types)
     return ModelParams(enc, dec, float(lambda_n), table)
@@ -194,10 +192,6 @@ def kl_term(post, D: int) -> T.Tensor:
     return 0.5 * (total - float(n * D))
 
 
-def node_count_logpmf(n: int, lambda_n: float) -> float:
-    return n * math.log(lambda_n) - lambda_n - math.lgamma(n + 1)
-
-
 def elbo(g: MolecularGraph, model: ModelParams, hyper: Hyperparams,
          rng: np.random.Generator) -> T.Tensor:
     """Single-sample evidence lower bound for one graph.
@@ -223,7 +217,7 @@ def elbo(g: MolecularGraph, model: ModelParams, hyper: Hyperparams,
 
 
 def fit_lambda_n(corpus) -> float:
-    """Poisson rate for the node count: the maximum-likelihood mean."""
+    """Node-count rate: the corpus mean, the untruncated Poisson's MLE."""
     if not corpus:
         raise ValueError("cannot fit a node-count rate to an empty corpus")
     return float(np.mean([g.n for g in corpus]))

@@ -16,7 +16,8 @@ from molvae.cli import main, ranking_agreement
 from molvae.encoder import posterior
 from molvae.latentopt import molecule_embedding, proxy_property
 from molvae.training import load_checkpoint
-from molvae.molgraph import DEFAULT_TABLE, random_molecule, write_corpus
+from molvae.molgraph import (DEFAULT_TABLE, parse_corpus, random_molecule,
+                             write_corpus)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +210,7 @@ def test_synth_triangle_free(tmp_path):
     report = json.loads((tmp_path / "synth_metrics.json").read_text())
     assert report["validity"] == 1.0       # the mask structurally guarantees it
     assert report["max_triangles"] == 0
+    assert report["meta"]["mask"] == "triangle_free"
     assert (tmp_path / "synth_corpus.jsonl").is_file()
     assert (tmp_path / "synth_checkpoint.bin").is_file()
 
@@ -223,6 +225,27 @@ def test_synth_kronecker_ranking(tmp_path):
     assert -1.0 <= report["spearman_rho"] <= 1.0
     assert 0.0 <= report["precision_top"] <= 1.0
     assert 0.0 <= report["precision_bottom"] <= 1.0
+    assert report["meta"]["mask"] == "none"
+
+
+def test_synth_kronecker_nodes_set_the_power(tmp_path):
+    # the largest power of two up to --nodes: 20 gives 16-node graphs
+    rc = main(["synth", "--experiment", "kronecker", "--seed", "2",
+               "--count", "10", "--nodes", "20", "--D", "4", "--K", "2",
+               "--L", "5", "--iters", "2", "--batch-size", "10",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert {g.n for g in parse_corpus(tmp_path / "synth_corpus.jsonl")} == {16}
+
+
+def test_synth_ba_records_its_mask(tmp_path):
+    rc = main(["synth", "--experiment", "ba", "--seed", "2", "--count", "10",
+               "--nodes", "5", "--D", "4", "--K", "2", "--L", "5",
+               "--iters", "2", "--batch-size", "10",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "synth_metrics.json").read_text())
+    assert report["meta"]["mask"] == "none"
 
 
 def test_synth_perm_drift_curves(tmp_path):
@@ -236,6 +259,7 @@ def test_synth_perm_drift_curves(tmp_path):
     assert sorted(curves) == ["degree", "max_degree", "uniform"]
     for curve in curves.values():
         assert curve and all(pt["distance"] >= 0.0 for pt in curve)
+    assert report["meta"]["mask"] == "valence"
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -345,6 +369,9 @@ def test_argparse_usage_errors(workspace, tmp_path, capsys):
         main(["train", "--corpus", workspace["corpus_path"], "--seed", "0",
               "--mask", "nonsense"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:   # each experiment fixes its mask
+        main(["synth", "--experiment", "ba", "--mask", "none"])
+    assert exc.value.code == 2
     # out-of-range values exit 2 before any input is read or output written
     corpus, ckpt = workspace["corpus_path"], workspace["checkpoint"]
     bo = ["bo", "--corpus", corpus, "--checkpoint", ckpt, "--seed", "1"]
@@ -359,6 +386,8 @@ def test_argparse_usage_errors(workspace, tmp_path, capsys):
             (bo + ["--batch-size", "0"], "--batch-size"),
             (bo + ["--test-fraction", "nan"], "--test-fraction"),
             (["synth", "--experiment", "ba", "--nodes", "1"], "--nodes"),
+            (["synth", "--experiment", "kronecker", "--nodes", "1"],
+             "--nodes"),
             (["synth", "--experiment", "triangle_free", "--nodes", "3"],
              "--nodes"),
             (["synth", "--experiment", "triangle_free", "--samples", "0"],

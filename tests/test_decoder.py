@@ -315,6 +315,14 @@ def test_zero_truncated_node_count_rejects_invalid_rate(lam):
         sample_graph(_params(D=2), np.random.default_rng(0), lambda_n=lam)
 
 
+@pytest.mark.parametrize("lam", [0.05, 1.0, 7.7, 32.0])
+def test_node_count_law_sums_to_one(lam):
+    # n >= 1 only: the law is the Poisson conditioned on N > 0
+    total = math.fsum(math.exp(decoder.node_count_logpmf(n, lam))
+                      for n in range(1, 400))
+    assert abs(total - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the sampler against the taped reference
 
@@ -458,12 +466,12 @@ def test_sampler_rejects_non_finite_heads():
     z = np.zeros((4, 3))
     z[2, 1] = np.nan
     with pytest.raises(FloatingPointError,
-                       match="non-finite value produced by op 'matmul'"):
+                       match="non-finite value produced by op 'linear'"):
         with np.errstate(invalid="ignore"):
             sample_graph(params, np.random.default_rng(0), z=z)
     params.w_edge = T.Tensor(np.full((1, 3), 1e308))
     with pytest.raises(FloatingPointError,
-                       match="non-finite value produced by op 'matmul'"):
+                       match="non-finite value produced by op 'linear'"):
         with np.errstate(over="ignore", invalid="ignore"):
             sample_graph(params, np.random.default_rng(0), z=np.ones((4, 3)))
     params = _params(D=3, seed=71)

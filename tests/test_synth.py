@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from molvae.masks import make_state
 from molvae.synth import (BASample, KroneckerSpec, as_molecule, gen_ba,
                           gen_kronecker, gen_triangle_free,
                           kronecker_probabilities, loglik_ba,
@@ -213,6 +214,47 @@ def test_triangle_free_maximal_augmentation():
         for v in range(u + 1, g.n):
             if v not in adj[u]:
                 assert adj[u] & adj[v], "a free pair could still be added"
+
+
+def _adjacency_set_triangle_free(rng, n, p=0.3, maximal=False):
+    """The generator with its own adjacency sets, as written before it
+    took the triangle rule from the mask."""
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = rng.random(len(all_pairs)) < p
+    chosen = [pr for pr, k in zip(all_pairs, keep) if k]
+    rest = [pr for pr, k in zip(all_pairs, keep) if not k]
+    adj = {u: set() for u in range(n)}
+    edges = []
+
+    def try_add(u, v):
+        if not adj[u] & adj[v]:
+            adj[u].add(v)
+            adj[v].add(u)
+            edges.append((u, v))
+
+    for i in rng.permutation(len(chosen)):
+        try_add(*chosen[i])
+    if maximal:
+        for i in rng.permutation(len(rest)):
+            try_add(*rest[i])
+    return as_molecule(n, edges)
+
+
+@pytest.mark.parametrize("maximal", [False, True])
+def test_triangle_free_matches_adjacency_set_reference(maximal):
+    for seed in range(200):
+        n = 1 + seed % 24
+        g = gen_triangle_free(np.random.default_rng(seed), n, maximal=maximal)
+        ref = _adjacency_set_triangle_free(np.random.default_rng(seed), n,
+                                           maximal=maximal)
+        assert g.bonds == ref.bonds, seed
+        if maximal:
+            state = make_state("triangle_free", n=n)
+            for u, v, _ in g.bonds:
+                state.commit((u, v), 1)
+            assert not [pr for pr in ((u, v) for u in range(n)
+                                      for v in range(u + 1, n))
+                        if state.edge_mask(pr)], seed
 
 
 def test_generators_reproducible_under_seed():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molvae import tensor as T
 
@@ -29,31 +31,44 @@ def test_broadcast_grads():
     _check(lambda: T.sum_all((a + row) * col + scalar), [a, row, col, scalar])
 
 
-def test_matmul_grads():
+def test_linear_grads():
     rng = np.random.default_rng(2)
-    a = T.Tensor(rng.normal(size=(4, 3)))
-    b = T.Tensor(rng.normal(size=(3, 5)))
-    _check(lambda: T.sum_all(T.square(T.matmul(a, b))), [a, b])
-
-
-def test_matvec_rows_matches_matmul_and_grads():
-    rng = np.random.default_rng(3)
     x = T.Tensor(rng.normal(size=(6, 4)))
     w = T.Tensor(rng.normal(size=(3, 4)))
-    out = T.matvec_rows(x, w)
-    ref = x.data @ w.data.T
-    assert np.allclose(out.data, ref, atol=1e-12)
-    _check(lambda: T.sum_all(T.square(T.matvec_rows(x, w))), [x, w])
+    _check(lambda: T.sum_all(T.square(T.linear(x, w))), [x, w])
 
 
-def test_matvec_rows_is_row_stable():
-    # permuting input rows must permute output rows bit-for-bit
-    rng = np.random.default_rng(4)
+def test_linear_matches_blas():
+    rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 7))
-    w = T.Tensor(rng.normal(size=(5, 7)))
-    perm = rng.permutation(40)
-    out = T.matvec_rows(T.Tensor(x), w).data
-    out_p = T.matvec_rows(T.Tensor(x[perm]), w).data
+    w = rng.normal(size=(5, 7))
+    out = T.linear(T.Tensor(x), T.Tensor(w)).data
+    assert np.max(np.abs(out - x @ w.T)) <= 1e-12
+
+
+@st.composite
+def _rows_and_weights(draw):
+    """x (n x D), contiguous or one of three strided layouts, and w."""
+    n, d = draw(st.integers(1, 64)), draw(st.integers(1, 32))
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    layout = draw(st.sampled_from(["contiguous", "fortran", "row_step",
+                                   "col_step"]))
+    x = {"contiguous": lambda: rng.normal(size=(n, d)),
+         "fortran": lambda: np.asfortranarray(rng.normal(size=(n, d))),
+         "row_step": lambda: rng.normal(size=(2 * n, d))[::2],
+         "col_step": lambda: rng.normal(size=(n, 2 * d))[:, ::2]}[layout]()
+    return x, rng.normal(size=(k, d)), rng.permutation(n)
+
+
+@settings(max_examples=200)
+@given(_rows_and_weights())
+def test_linear_is_row_stable(case):
+    # permuting the input rows must permute the output rows bit-for-bit,
+    # whatever the memory layout of x
+    x, w, perm = case
+    out = T.linear(T.Tensor(x), T.Tensor(w)).data
+    out_p = T.linear(T.Tensor(x[perm]), T.Tensor(w)).data
     assert np.array_equal(out[perm], out_p)
 
 
@@ -116,14 +131,14 @@ def test_gather_rows_grads_with_repeats():
     _check(lambda: T.sum_all(T.square(T.gather_rows(v, np.array([1, 1, 3])))), [v])
 
 
-def test_concat_transpose_reshape_grads():
+def test_concat_reshape_grads():
     rng = np.random.default_rng(10)
     a = T.Tensor(rng.normal(size=(2, 3)))
     b = T.Tensor(rng.normal(size=(4, 3)))
 
     def loss():
         c = T.concat([a, b], axis=0)
-        return T.sum_all(T.square(T.reshape(T.transpose(c), (3, 6))))
+        return T.sum_all(T.square(T.reshape(c, (3, 6))))
 
     _check(loss, [a, b])
 
@@ -162,7 +177,7 @@ def test_tape_replay_determinism():
 
     def run():
         with T.Tape() as tape:
-            loss = T.sum_all(T.softplus(T.matmul(a, T.transpose(a))))
+            loss = T.sum_all(T.softplus(T.linear(a, a)))
         (g,) = tape.gradients(loss, [a])
         return loss.item(), g
 

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from molvae import tensor as T
-from molvae.decoder import graph_logprob
+from molvae import training
+from molvae.decoder import graph_logprob, node_count_logpmf, sample_graph
 from molvae.encoder import Posterior
 from molvae.molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable, random_molecule
 from molvae.training import (Checkpoint, Hyperparams, ModelParams, bfs_edge_order,
                              elbo, fit_lambda_n, init_model, kl_term,
-                             load_checkpoint, make_batches, node_count_logpmf,
-                             sample_source, save_checkpoint, train)
+                             load_checkpoint, make_batches, sample_source,
+                             save_checkpoint, train)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +286,26 @@ def test_elbo_lower_bounds_log_marginal():
     se = float(np.std(draws)) / math.sqrt(len(draws))
     assert mean <= lm_hi + 3.0 * se
     assert lm_hi - mean < 10.0, "bound is unreasonably loose"
+
+
+def test_elbo_node_term_is_the_sampler_law(monkeypatch):
+    """The ELBO charges the node count what the sampler's trace records
+    for drawing it: one law, the zero-truncated Poisson."""
+    hyper = Hyperparams(D=4, K=2, L=3, S=1, seed=0, partition="exact")
+    model = init_model(np.random.default_rng(21), hyper, lambda_n=0.7)
+    rng = np.random.default_rng(22)
+    while True:
+        _, trace = sample_graph(model.decoder, rng, lambda_n=model.lambda_n,
+                                mask_kind="none")
+        if trace.n == 3:
+            break
+    (kind, n, sampler_logp), = [s for s in trace.steps if s[0] == "node_count"]
+    assert (kind, n) == ("node_count", 3)
+    g = MolecularGraph(("C", "C", "O"), ((0, 1, 1), (1, 2, 1)))
+    full = elbo(g, model, hyper, np.random.default_rng(5)).item()
+    monkeypatch.setattr(training, "node_count_logpmf", lambda n, lam: 0.0)
+    rest = elbo(g, model, hyper, np.random.default_rng(5)).item()
+    assert abs((full - rest) - sampler_logp) <= 1e-12 * max(1.0, abs(full))
 
 
 # ---------------------------------------------------------------------------
