@@ -11,6 +11,15 @@ follows over the three log-hyperparameters, and the factors that
 prediction solves against.  The EI ascent also runs L-BFGS-B on the exact
 gradient, through the same predictive equations as ``sgp_predict``.  The
 molecule decoder encodes each seed molecule once.
+
+Inputs are checked once, where they enter: ``sgp_fit`` checks ``x``,
+``y``, ``hypers`` and ``iters``; ``sgp_predict`` and ``sgp_loglik`` check
+``xs`` and ``ys``; the EI ascent starts from points ``sgp_predict`` has
+checked and stays inside a finite box.  The inner loops (``_fitc``,
+``_predictive``, ``_neg_ei``) check nothing, and every triangular solve in
+them goes straight to LAPACK through ``_solve_tri``.  Per fit, the
+inducing-point distances are computed once, and the factors of the
+optimizer's last evaluation are kept, not recomputed, when it ends there.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import pdist
 from scipy.special import erf
@@ -71,9 +80,38 @@ def _kernel_np(a, b, s2f, lengthscale):
     return s2f * np.exp(-0.5 * _sqdist(a, b) / lengthscale ** 2)
 
 
-def _fitc(x, yc, xu, s2f, lengthscale, noise, jitter):
+def _finite(name: str, a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def _solve_tri(a, b, trans=0, lower=False, overwrite_b=False):
+    """``scipy.linalg.solve_triangular`` for float64 without its input
+    checks: the same LAPACK ``dtrtrs`` call with the same arguments, so
+    the same bits.  Raises LinAlgError on a zero pivot."""
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, overwrite_b=overwrite_b, lower=lower,
+                         trans=trans)
+    else:  # dtrtrs expects Fortran order: solve the transposed system
+        x, info = dtrtrs(a.T, b, overwrite_b=overwrite_b, lower=not lower,
+                         trans=not trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
+
+
+def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
     """FITC factors, log marginal likelihood of centred scores ``yc`` and
     its gradient in (log s2f, log lengthscale, log noise).
+
+    ``d_uu`` and ``d_uf`` are the squared distances among the inducing
+    inputs and from them to the data rows (``_sqdist(xu, xu)`` and
+    ``_sqdist(xu, x)``).  They do not depend on the hyperparameters, so
+    ``sgp_fit`` computes them once per fit; nothing here is checked again.
 
     With A = L_uu^-1 K_uf, the FITC covariance is C = A'A + diag(lam) where
     lam = diag(K_ff - A'A) + noise.  The Woodbury identity reduces it to
@@ -90,15 +128,13 @@ def _fitc(x, yc, xu, s2f, lengthscale, noise, jitter):
     diag(1/lam) - A diag(r), using A C^-1 = B^-1 A diag(1/lam).
     Returns (l_uu, l_b, lam, c, log marginal likelihood, gradient).
     """
-    m = xu.shape[0]
+    m = d_uu.shape[0]
     inv_l2 = 1.0 / lengthscale ** 2
-    d_uu = _sqdist(xu, xu)
     kuu = s2f * np.exp(-0.5 * inv_l2 * d_uu)
     l_uu = np.linalg.cholesky(kuu + jitter * np.eye(m))
-    dk_uf = _sqdist(xu, x)
-    kuf = s2f * np.exp(-0.5 * inv_l2 * dk_uf)
-    a = solve_triangular(l_uu, kuf, lower=True)
-    dk_uf *= kuf  # lengthscale^2 dK_uf / dlog lengthscale; frees kuf
+    kuf = s2f * np.exp(-0.5 * inv_l2 * d_uf)
+    a = _solve_tri(l_uu, kuf, lower=True)
+    dk_uf = d_uf * kuf  # lengthscale^2 dK_uf / dlog lengthscale
     del kuf
     lam = s2f - np.einsum("mn,mn->n", a, a) + noise
     if np.any(lam <= 0.0):
@@ -106,7 +142,7 @@ def _fitc(x, yc, xu, s2f, lengthscale, noise, jitter):
     sqrt_lam = np.sqrt(lam)
     v = a / sqrt_lam
     l_b = np.linalg.cholesky(np.eye(m) + v @ v.T)
-    v = solve_triangular(l_b, v, lower=True, overwrite_b=True)
+    v = _solve_tri(l_b, v, lower=True, overwrite_b=True)
     v /= sqrt_lam
     c = v @ yc
     log_det = np.log(lam).sum() + 2.0 * np.log(np.diag(l_b)).sum()
@@ -115,15 +151,15 @@ def _fitc(x, yc, xu, s2f, lengthscale, noise, jitter):
 
     alpha = yc / lam - v.T @ c
     r = alpha ** 2 - 1.0 / lam + np.einsum("mn,mn->n", v, v)
-    h = solve_triangular(l_b, v, trans="T", lower=True, overwrite_b=True)
+    h = _solve_tri(l_b, v, trans=1, lower=True, overwrite_b=True)
     del v
     h *= -1.0
-    h += np.outer(solve_triangular(l_b, c, trans="T", lower=True), alpha)
+    h += np.outer(_solve_tri(l_b, c, trans=1, lower=True), alpha)
     h -= a * r
-    g = solve_triangular(l_uu, h, trans="T", lower=True, overwrite_b=True)
+    g = _solve_tri(l_uu, h, trans=1, lower=True, overwrite_b=True)
     del h
     a_gt = a @ g.T
-    gpt = solve_triangular(l_uu, a_gt, trans="T", lower=True)  # (G P')'
+    gpt = _solve_tri(l_uu, a_gt, trans=1, lower=True)  # (G P')'
     g_kuf = np.einsum("ij,ji->", l_uu, a_gt)  # sum(G * K_uf), K_uf = L_uu A
     r_sum = r.sum()
     grad = 0.5 * np.array([
@@ -143,24 +179,47 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     The log-hyperparameters start from the data (score variance, median
     pairwise distance, a tenth of it as noise) and stay within HYPER_BOX
     of that start: unbounded, degenerate data (constant scores, a handful
-    of points) runs past every jitter.  ``iters`` caps the optimizer's
-    iterations; ``hypers`` = (signal variance, lengthscale, noise variance)
-    skips the fit.  Singular kernels escalate through the jitter ladder.
+    of points) runs past every jitter.  ``iters`` (>= 0) caps the
+    optimizer's iterations; ``hypers`` = (signal variance, lengthscale,
+    noise variance), each finite and positive, skips the fit.  Singular
+    kernels escalate through the jitter ladder.
+
+    The inputs are checked here and nowhere below: ``x`` and ``y`` must
+    be finite.  The squared distances among the inducing inputs and from
+    them to the rows of ``x`` are computed once, checked for overflow and
+    shared by every ``_fitc`` evaluation.  The factors of the optimizer's
+    last evaluation are kept; when the optimizer returns that point, the
+    model takes them instead of factorizing again.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("x must be (n, d) with one score per row")
+    _finite("x", x)
+    _finite("y", y)
     n = x.shape[0]
     if not 1 <= n_inducing <= n:
         raise ValueError(f"need 1 <= n_inducing <= {n}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     rng = np.random.default_rng(seed)
     xu = x[rng.choice(n, size=n_inducing, replace=False)].copy()
+    d_uu = _sqdist(xu, xu)
+    d_uf = _sqdist(xu, x)
+    if not (np.isfinite(d_uu).all() and np.isfinite(d_uf).all()):
+        raise ValueError("x is too large: its squared distances overflow")
     y_mean = float(y.mean())
     yc = y - y_mean
 
     if hypers is not None:
-        start = np.log(np.asarray(hypers, dtype=np.float64))
+        hypers = np.asarray(hypers, dtype=np.float64)
+        if hypers.shape != (3,):
+            raise ValueError("hypers must be (s2f, lengthscale, noise)")
+        for name, v in zip(("s2f", "lengthscale", "noise"), hypers):
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"hypers {name} must be finite and"
+                                 f" positive, got {v}")
+        start = np.log(hypers)
         iters = 0
     else:
         var_y = float(yc.var()) + 1e-8
@@ -170,9 +229,16 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
                           0.5 * math.log(max(median_sq, 1e-8)),
                           math.log(0.1 * var_y)])
     bounds = [(v - HYPER_BOX, v + HYPER_BOX) for v in start]
+    last = [None, None, None]  # log_h, jitter, _fitc output
+
+    def factors(log_h, jitter):
+        if not (jitter == last[1] and np.array_equal(log_h, last[0])):
+            last[:] = (log_h.copy(), jitter,
+                       _fitc(d_uu, d_uf, yc, *np.exp(log_h), jitter))
+        return last[2]
 
     def neg_lml(log_h, jitter):
-        lml, grad = _fitc(x, yc, xu, *np.exp(log_h), jitter)[4:]
+        lml, grad = factors(log_h, jitter)[4:]
         return -lml, -grad
 
     for jitter in JITTERS:
@@ -182,15 +248,14 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
                 log_h = minimize(neg_lml, start, args=(jitter,), jac=True,
                                  method="L-BFGS-B", bounds=bounds,
                                  options={"maxiter": iters}).x
-            s2f, lengthscale, noise = (float(v) for v in np.exp(log_h))
-            l_uu, l_b, _, c, _, _ = _fitc(x, yc, xu, s2f, lengthscale,
-                                          noise, jitter)
+            l_uu, l_b, _, c, _, _ = factors(log_h, jitter)
             break
         except np.linalg.LinAlgError:
             if jitter == JITTERS[-1]:
                 raise
-    alpha = solve_triangular(
-        l_uu.T, solve_triangular(l_b.T, c, lower=False), lower=False)
+    s2f, lengthscale, noise = (float(v) for v in np.exp(log_h))
+    alpha = _solve_tri(l_uu.T, _solve_tri(l_b.T, c, lower=False),
+                       lower=False)
     return SGPModel(inducing=xu, s2f=s2f, lengthscale=lengthscale,
                     noise=noise, jitter=jitter, y_mean=y_mean, alpha=alpha,
                     l_uu=l_uu, l_b=l_b)
@@ -203,8 +268,8 @@ def _predictive(model: SGPModel, xs):
     max(s2f - |t1|^2 + |t2|^2, 0) + noise."""
     ks = _kernel_np(xs, model.inducing, model.s2f, model.lengthscale)
     mean = ks @ model.alpha + model.y_mean
-    t1 = solve_triangular(model.l_uu, ks.T, lower=True)
-    t2 = solve_triangular(model.l_b, t1, lower=True)
+    t1 = _solve_tri(model.l_uu, ks.T, lower=True)
+    t2 = _solve_tri(model.l_b, t1, lower=True)
     q = np.einsum("mn,mn->n", t1, t1)
     corr = np.einsum("mn,mn->n", t2, t2)
     var = np.maximum(model.s2f - q + corr, 0.0) + model.noise
@@ -212,15 +277,17 @@ def _predictive(model: SGPModel, xs):
 
 
 def sgp_predict(model: SGPModel, xs) -> tuple[np.ndarray, np.ndarray]:
-    """Predictive mean and observation variance (latent variance + noise)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    """Predictive mean and observation variance (latent variance + noise)
+    at the rows of ``xs``, which must be finite."""
+    xs = _finite("xs", np.atleast_2d(np.asarray(xs, dtype=np.float64)))
     return _predictive(model, xs)[3:]
 
 
 def sgp_loglik(model: SGPModel, xs, ys) -> np.ndarray:
-    """Per-point predictive log-density of held-out scores."""
+    """Per-point predictive log-density of held-out scores ``ys`` (finite)
+    at the rows of ``xs``."""
+    ys = _finite("ys", np.asarray(ys, dtype=np.float64).ravel())
     mean, var = sgp_predict(model, xs)
-    ys = np.asarray(ys, dtype=np.float64).ravel()
     return -0.5 * (np.log(2.0 * math.pi * var) + (ys - mean) ** 2 / var)
 
 
@@ -257,21 +324,26 @@ def _neg_ei(v, model: SGPModel, best):
     has gradient alpha' dk/dv and the variance -2 (W k)' dk/dv, where
     W k = L_uu^-T (t1 - L_b^-T t2); the variance is flat where it is
     clipped at zero.  Then grad EI = Phi(z) grad mean
-    + phi(z) grad var / (2 sd).
+    + phi(z) grad var / (2 sd).  The value is ``expected_improvement``'s
+    formula on the one point's scalars, the same operations in the same
+    order, so it equals ``expected_improvement(*sgp_predict(model, v),
+    best)`` bit for bit.  ``v`` is not checked: the ascent starts from
+    points ``sgp_predict`` has checked and stays inside a finite box.
     """
     ks, t1, t2, mean, var = _predictive(model, v[None, :])
-    ei = float(expected_improvement(mean, var, best)[0])
+    mean, var = float(mean[0]), float(var[0])
+    sd = math.sqrt(var)  # > 0: a fitted noise variance is positive
+    z = (mean - best) / sd
+    phi, big_phi = _normal_pdf_cdf(z)
+    ei = float(sd * (z * big_phi + phi))
     dk = ks.T * (model.inducing - v) / model.lengthscale ** 2
     d_mean = model.alpha @ dk
-    sd = math.sqrt(var[0])  # > 0: a fitted noise variance is positive
     d_var = np.zeros_like(v)
-    if var[0] > model.noise:
-        wk = solve_triangular(
-            model.l_uu,
-            t1 - solve_triangular(model.l_b, t2, trans="T", lower=True),
-            trans="T", lower=True)
+    if var > model.noise:
+        wk = _solve_tri(model.l_uu,
+                        t1 - _solve_tri(model.l_b, t2, trans=1, lower=True),
+                        trans=1, lower=True)
         d_var = -2.0 * (wk[:, 0] @ dk)
-    phi, big_phi = _normal_pdf_cdf((mean[0] - best) / sd)
     return -ei, -(big_phi * d_mean + phi * d_var / (2.0 * sd))
 
 

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 import molvae.tensor as T
 from molvae.encoder import Posterior, posterior
 import molvae.latentopt as latentopt
 from molvae.decoder import sample_graph
-from molvae.latentopt import (BOResult, PropertyOracle, _fitc,
-                              _min_cycle_basis_lengths, _neg_ei, bo_loop,
+from molvae.latentopt import (JITTERS, BOResult, PropertyOracle, _fitc,
+                              _min_cycle_basis_lengths, _neg_ei, _solve_tri,
+                              _sqdist, bo_loop,
                               expected_improvement, make_molecule_decoder,
                               molecule_embedding,
                               proxy_property, sgp_fit, sgp_loglik, sgp_predict)
@@ -147,14 +151,141 @@ def test_sgp_fit_validation():
         sgp_fit(x, np.zeros(4), n_inducing=2)
 
 
-def test_sgp_duplicate_rows_survive_via_jitter():
+@pytest.mark.parametrize("hypers,field", [
+    ((1.0, 1.0, 0.0), "noise"), ((0.0, 1.0, 0.1), "s2f"),
+    ((1.0, math.inf, 0.1), "lengthscale"), ((1.0, 1.0, -1.0), "noise"),
+    ((1.0, math.nan, 0.1), "lengthscale"), ((-2.0, 1.0, 0.1), "s2f")])
+def test_sgp_fit_rejects_bad_hypers(hypers, field):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((10, 2))
+    with pytest.raises(ValueError, match=f"hypers {field} "):
+        sgp_fit(x, x[:, 0], n_inducing=4, hypers=hypers)
+
+
+def test_sgp_fit_rejects_negative_iters():
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((10, 2))
+    with pytest.raises(ValueError, match="iters"):
+        sgp_fit(x, x[:, 0], n_inducing=4, iters=-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sgp_rejects_non_finite_data(bad):
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((12, 2))
+    y = x[:, 0] - x[:, 1]
+    model = sgp_fit(x, y, n_inducing=5, seed=0, iters=5)
+    x_bad, y_bad = x.copy(), y.copy()
+    x_bad[3, 1] = bad
+    y_bad[7] = bad
+    with pytest.raises(ValueError, match="^x must be finite"):
+        sgp_fit(x_bad, y, n_inducing=5)
+    with pytest.raises(ValueError, match="^y must be finite"):
+        sgp_fit(x, y_bad, n_inducing=5)
+    with pytest.raises(ValueError, match="^xs must be finite"):
+        sgp_predict(model, x_bad)
+    with pytest.raises(ValueError, match="^xs must be finite"):
+        sgp_loglik(model, x_bad, y)
+    with pytest.raises(ValueError, match="^ys must be finite"):
+        sgp_loglik(model, x, y_bad)
+
+
+def test_sgp_fit_rejects_overflowing_distances():
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((12, 2))
+    y = x[:, 0] - x[:, 1]
+    x[3, 1] = 1e200  # finite, but its squared distances overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^x is too large"):
+            sgp_fit(x, y, n_inducing=5)
+
+
+def _duplicate_rows():
+    """Ten random rows, each twice, scored by their first coordinate."""
     rng = np.random.default_rng(8)
     base = rng.standard_normal((10, 2))
-    x = np.vstack([base, base])            # kernel matrix is singular
-    y = np.concatenate([base[:, 0], base[:, 0]])
+    return np.vstack([base, base]), np.concatenate([base[:, 0], base[:, 0]])
+
+
+@pytest.mark.parametrize("case", ["default", "iters0", "hypers",
+                                  "duplicates"])
+def test_sgp_fit_keeps_factors_of_a_fresh_fitc(case):
+    # the model's factors, whether kept from the optimizer's last
+    # evaluation or computed after it, equal a fresh _fitc bit for bit
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((40, 3))
+    y = np.sin(2.0 * x[:, 0]) + x[:, 1] ** 2
+    kwargs = {"n_inducing": 15, "seed": 1}
+    if case == "iters0":
+        kwargs["iters"] = 0
+    elif case == "hypers":
+        kwargs["hypers"] = (1.3, 0.9, 0.05)
+    elif case == "duplicates":
+        x, y = _duplicate_rows()
+        y = 1e3 * y  # s2f near 1e6: only the last jitter factorizes
+        kwargs = {"n_inducing": 20, "seed": 0}
+    model = sgp_fit(x, y, **kwargs)
+    if case == "duplicates":
+        assert model.jitter == JITTERS[-1]
+    l_uu, l_b, _, c = _fitc_at(x, y - float(y.mean()), model.inducing,
+                               model.s2f, model.lengthscale, model.noise,
+                               model.jitter)[:4]
+    alpha = solve_triangular(l_uu.T, solve_triangular(l_b.T, c, lower=False),
+                             lower=False)
+    assert np.array_equal(model.l_uu, l_uu)
+    assert np.array_equal(model.l_b, l_b)
+    assert np.array_equal(model.alpha, alpha)
+
+
+@pytest.mark.parametrize("fail_at", [None, 2])
+def test_sgp_fit_does_not_refactorize_at_the_optimum(monkeypatch, fail_at):
+    # _fitc runs exactly once per optimizer evaluation.  With fail_at=2 the
+    # second evaluation at the first jitter fails after the first one, at
+    # the start point, succeeded; the next jitter's evaluation of that
+    # same point must run again rather than reuse the kept factors.
+    calls = []
+    nfev = []
+    fitc, minimize = latentopt._fitc, latentopt.minimize
+
+    def counting_fitc(*args):
+        calls.append(args[3:])
+        if len(calls) == fail_at:
+            raise np.linalg.LinAlgError("injected")
+        return fitc(*args)
+
+    def recording_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(latentopt, "_fitc", counting_fitc)
+    monkeypatch.setattr(latentopt, "minimize", recording_minimize)
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((40, 3))
+    y = np.sin(2.0 * x[:, 0]) + x[:, 1] ** 2
+    model = sgp_fit(x, y, n_inducing=15, seed=2)
+    assert len(nfev) == 1 and nfev[0] > 1
+    at_fit = [h for h in calls if h[3] == model.jitter]
+    assert len(at_fit) == nfev[0]
+    assert len(calls) == nfev[0] + (fail_at or 0)
+    assert calls[-1] == (model.s2f, model.lengthscale, model.noise,
+                         model.jitter)
+    if fail_at:
+        assert model.jitter == JITTERS[1]
+        assert calls[0][:3] == at_fit[0][:3]
+
+
+def test_sgp_duplicate_rows_survive_via_jitter():
+    x, y = _duplicate_rows()               # kernel matrix is singular
     model = sgp_fit(x, y, n_inducing=20, seed=0, hypers=(1.0, 1.0, 1e-9))
-    mean, var = sgp_predict(model, base)
+    mean, var = sgp_predict(model, x[:10])
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+
+
+def _fitc_at(x, yc, xu, s2f, lengthscale, noise, jitter):
+    """``_fitc`` on the data rows and inducing inputs themselves."""
+    return _fitc(_sqdist(xu, xu), _sqdist(xu, x), yc, s2f, lengthscale,
+                 noise, jitter)
 
 
 def _dense_fitc_log_marginal(x, yc, xu, s2f, lengthscale, noise, jitter):
@@ -179,7 +310,7 @@ def test_fitc_log_marginal_matches_dense_density(hypers):
         x = rng.uniform(-2.0, 2.0, size=(n, 2))
         yc = rng.standard_normal(n)
         xu = x[rng.choice(n, size=m, replace=False)]
-        lml = _fitc(x, yc, xu, *hypers, 1e-10)[4]
+        lml = _fitc_at(x, yc, xu, *hypers, 1e-10)[4]
         ref = _dense_fitc_log_marginal(x, yc, xu, *hypers, 1e-10)
         assert abs(lml - ref) <= 1e-9 * abs(ref)
 
@@ -197,11 +328,11 @@ def test_fitc_gradient_matches_central_differences(n, m, hypers, jitter):
     yc = rng.standard_normal(n)
     xu = x[rng.choice(n, size=m, replace=False)]
     log_h = np.log(hypers)
-    grad = _fitc(x, yc, xu, *hypers, jitter)[5]
+    grad = _fitc_at(x, yc, xu, *hypers, jitter)[5]
     step = 1e-5
     fd = np.array([
-        (_fitc(x, yc, xu, *np.exp(log_h + e), jitter)[4]
-         - _fitc(x, yc, xu, *np.exp(log_h - e), jitter)[4]) / (2.0 * step)
+        (_fitc_at(x, yc, xu, *np.exp(log_h + e), jitter)[4]
+         - _fitc_at(x, yc, xu, *np.exp(log_h - e), jitter)[4]) / (2.0 * step)
         for e in step * np.eye(3)])
     assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
 
@@ -214,7 +345,7 @@ def test_sgp_fit_raises_log_marginal(seed):
 
     def lml(model):
         hypers = (model.s2f, model.lengthscale, model.noise)
-        return _fitc(x, y - y.mean(), model.inducing, *hypers,
+        return _fitc_at(x, y - y.mean(), model.inducing, *hypers,
                      model.jitter)[4]
 
     start = sgp_fit(x, y, n_inducing=15, seed=seed, iters=0)
@@ -264,7 +395,7 @@ def test_ei_objective_matches_predict_and_gradient():
             value, grad = _neg_ei(v, model, best)
             mean, var = sgp_predict(model, v)
             ref = expected_improvement(mean, var, best)[0]
-            assert abs(value + ref) <= 1e-12 * max(1.0, ref)
+            assert value == -ref
             if ref < 1e-6:   # far tail: EI and its differences underflow
                 continue
             assert var[0] > model.noise
@@ -275,6 +406,41 @@ def test_ei_objective_matches_predict_and_gradient():
             assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
             checked += 1
     assert checked >= 10
+
+
+@st.composite
+def _triangular_systems(draw):
+    """A dense square a (only one triangle is read) in C, Fortran or
+    strided layout, a vector or matrix right-hand side, and the flags."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(n, n)) + n * np.eye(n)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    a = {"C": lambda: a, "F": lambda: np.asfortranarray(a),
+         "strided": lambda: np.repeat(a, 2, axis=1)[:, ::2]}[layout]()
+    k = draw(st.sampled_from([None, 1, 3]))
+    b = rng.normal(size=n if k is None else (n, k))
+    if k is not None and draw(st.booleans()):
+        b = np.asfortranarray(b)
+    return (a, b, draw(st.booleans()), draw(st.sampled_from([0, 1])),
+            draw(st.booleans()), draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=300)
+@given(_triangular_systems())
+def test_solve_tri_matches_solve_triangular(case):
+    a, b, lower, trans, overwrite_b, pivot = case
+    ref = solve_triangular(a, b.copy(order="K"), trans=trans, lower=lower,
+                           overwrite_b=overwrite_b)
+    out = _solve_tri(a, b.copy(order="K"), trans=trans, lower=lower,
+                     overwrite_b=overwrite_b)
+    assert out.shape == ref.shape and np.array_equal(out, ref)
+    a = np.array(a, order="F" if a.flags.f_contiguous else "C")
+    a[pivot, pivot] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_triangular(a, b.copy(order="K"), trans=trans, lower=lower)
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_tri(a, b.copy(order="K"), trans=trans, lower=lower)
 
 
 def test_ei_nonnegative_and_monotone_in_mean():
