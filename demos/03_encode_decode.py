@@ -30,7 +30,7 @@ print(f"relabeled rows match original ones: max gap {gap:.1e}")
 
 # --- reparameterized latents feed the decoder -----------------------------
 
-z = sample_latent(post, rng).z.data
+z = sample_latent(post.mu.data, post.sigma.data, rng)
 g, trace = sample_graph(model.decoder, rng, z=z, mask_kind="valence",
                         table=model.table)
 print("\ndecoded", g.n, "atoms,", len(g.bonds), "bonds;",

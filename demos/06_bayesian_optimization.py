@@ -6,10 +6,12 @@ and finally the molecule pipeline: embed a corpus, fit the GP to a proxy
 property, propose latents, decode with valence masking, and rank.
 """
 
+from functools import partial
+
 import numpy as np
 
 from molvae.encoder import posterior
-from molvae.latentopt import (PropertyOracle, bo_loop, expected_improvement,
+from molvae.latentopt import (bo_loop, expected_improvement,
                               make_molecule_decoder, molecule_embedding,
                               proxy_property, sgp_fit, sgp_predict)
 from molvae.molgraph import DEFAULT_TABLE, random_molecule
@@ -61,7 +63,7 @@ corpus = [random_molecule(np.random.default_rng(60 + s),
 embs = np.array([molecule_embedding(posterior(m, vae.encoder, vae.table))
                  for m in corpus])
 lam = float(np.mean([m.n for m in corpus]))
-oracle = PropertyOracle("proxy", lambda g: proxy_property(g, lambda_n=lam))
+oracle = partial(proxy_property, lambda_n=lam)
 scores = np.array([oracle(m) for m in corpus])
 decode = make_molecule_decoder(vae, corpus, embs, rng, mask_kind="valence")
 res = bo_loop(embs, scores, decode_fn=decode, oracle=oracle,

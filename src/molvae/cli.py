@@ -5,6 +5,11 @@ subcommand is deterministic given its inputs and --seed; outputs are plain
 files under --out-dir (checkpoints, CSV logs, JSONL molecule sets, DOT
 renderings, JSON metric reports).  Exit codes: 0 success, 1 runtime
 failure, 2 usage or input error.
+
+``main`` completes the argparse namespace once: the mask kind, the synth
+defaults, the parsed ``--amplitudes`` and a ``Path`` for ``--out-dir``, then
+range-checks every flag before any input is read.  Each ``cmd_*`` reads its
+flags straight off that namespace.
 """
 
 from __future__ import annotations
@@ -14,16 +19,16 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .decoder import sample_graph
-from .encoder import posterior
+from .encoder import posterior, sample_latent
 from .molgraph import (DEFAULT_TABLE, MolecularGraph, compute_metrics,
                        graph_to_obj, parse_corpus, random_molecule, to_dot,
-                       valence_ok, write_corpus)
+                       valence_ok, write_corpus, write_jsonl)
 from .synth import (KroneckerSpec, gen_ba, gen_kronecker, gen_triangle_free,
                     loglik_ba, loglik_kronecker, precision_top_bottom,
                     spearman)
@@ -51,19 +56,6 @@ class UsageError(Exception):
     """Bad invocation or unreadable input: exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs, validated up front."""
-
-    subcommand: str
-    out_dir: Path
-    seed: int
-    mask_kind: str
-    corpus: Path | None = None
-    checkpoint: Path | None = None
-    options: dict = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -77,8 +69,8 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _load_corpus(cfg: RunConfig):
-    path = _require_file(cfg.corpus, "corpus")
+def _load_corpus(args):
+    path = _require_file(args.corpus, "corpus")
     try:
         graphs = parse_corpus(path)
     except ValueError as err:
@@ -88,17 +80,17 @@ def _load_corpus(cfg: RunConfig):
     return graphs
 
 
-def _load_checkpoint(cfg: RunConfig) -> Checkpoint:
-    path = _require_file(cfg.checkpoint, "checkpoint")
+def _load_checkpoint(args) -> Checkpoint:
+    path = _require_file(args.checkpoint, "checkpoint")
     try:
         return load_checkpoint(path)
     except ValueError as err:
         raise UsageError(str(err)) from err
 
 
-def _meta(cfg: RunConfig, **extra) -> dict:
-    base = {"subcommand": cfg.subcommand, "seed": cfg.seed,
-            "mask": cfg.mask_kind,
+def _meta(args, **extra) -> dict:
+    base = {"subcommand": args.subcommand, "seed": args.seed,
+            "mask": args.mask_kind,
             "scale_note": "desk-scale defaults; see README for the full-size"
                           " experiment values"}
     base.update(extra)
@@ -109,21 +101,16 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_jsonl(path: Path, records) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-def _sample_many(model, count: int, seed: int, mask_kind: str, *,
-                 z_for=None, n: int | None = None):
-    """Draw `count` molecules, each from its own child seed of `seed`."""
+def _sample_many(model, count: int, seed: int, mask_kind: str, post=None):
+    """Draw `count` molecules, each from its own child seed of `seed`: from
+    the prior, or at latents drawn from the posterior `post`."""
     def draw(child):
         rng = np.random.default_rng(child)
-        if z_for is not None:
-            return sample_graph(model.decoder, rng, z=z_for(rng), n=n,
+        if post is None:
+            return sample_graph(model.decoder, rng, lambda_n=model.lambda_n,
                                 mask_kind=mask_kind, table=model.table)
-        return sample_graph(model.decoder, rng, lambda_n=model.lambda_n,
+        z = sample_latent(post.mu.data, post.sigma.data, rng)
+        return sample_graph(model.decoder, rng, z=z, n=len(z),
                             mask_kind=mask_kind, table=model.table)
 
     return [draw(c) for c in np.random.SeedSequence(seed).spawn(count)]
@@ -143,11 +130,10 @@ def _sampler_record(traces) -> dict:
     }
 
 
-def _hyper_from(cfg: RunConfig, **overrides) -> Hyperparams:
-    opts = cfg.options
-    fields = dict(D=opts["D"], K=opts["K"], L=opts["L"], lr=opts["lr"],
-                  batch_size=opts["batch_size"], iterations=opts["iters"],
-                  seed=cfg.seed, mask_kind=cfg.mask_kind)
+def _hyper_from(args, **overrides) -> Hyperparams:
+    fields = dict(D=args.D, K=args.K, L=args.L, lr=args.lr,
+                  batch_size=args.batch_size, iterations=args.iters,
+                  seed=args.seed, mask_kind=args.mask_kind)
     fields.update(overrides)
     try:
         return Hyperparams(**fields)
@@ -159,22 +145,22 @@ def _hyper_from(cfg: RunConfig, **overrides) -> Hyperparams:
 # subcommands
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    corpus = _load_corpus(cfg)
-    hyper = _hyper_from(cfg)
+def cmd_train(args) -> int:
+    corpus = _load_corpus(args)
+    hyper = _hyper_from(args)
     rows = []
     ckpt = train(corpus, hyper,
                  log_fn=lambda r: rows.append(
                      (r["iteration"], r["elbo"], r["seconds"])))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path = cfg.out_dir / "checkpoint.bin"
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path = args.out_dir / "checkpoint.bin"
     save_checkpoint(ckpt_path, ckpt)
-    with open(cfg.out_dir / "elbo_log.csv", "w", newline="") as fh:
+    with open(args.out_dir / "elbo_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "elbo", "seconds"])
         writer.writerows(rows)
-    _write_json(cfg.out_dir / "train_meta.json", _meta(
-        cfg, corpus=str(cfg.corpus), n_molecules=len(corpus),
+    _write_json(args.out_dir / "train_meta.json", _meta(
+        args, corpus=str(args.corpus), n_molecules=len(corpus),
         lambda_n=ckpt.model.lambda_n, hyper=hyper.as_dict()))
     print(f"trained {hyper.iterations} iterations on {len(corpus)} molecules;"
           f" final ELBO {rows[-1][1]:.4f}; checkpoint {ckpt_path}")
@@ -196,107 +182,96 @@ def _parse_mode(raw: str, n_corpus: int):
     raise UsageError(f"bad --mode {raw!r}; want prior or posterior:<index>")
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    ckpt = _load_checkpoint(cfg)
-    corpus = _load_corpus(cfg)
-    count = cfg.options["count"]
-    mode, idx = _parse_mode(cfg.options["mode"], len(corpus))
+def cmd_sample(args) -> int:
+    ckpt = _load_checkpoint(args)
+    corpus = _load_corpus(args)
+    count = args.count
+    mode, idx = _parse_mode(args.mode, len(corpus))
     model = ckpt.model
-    if mode == "posterior":
-        ref = corpus[idx]
-        post = posterior(ref, model.encoder, model.table)
-        mu, sigma = post.mu.data, post.sigma.data
-        draws = _sample_many(
-            model, count, cfg.seed, cfg.mask_kind, n=ref.n,
-            z_for=lambda rng: mu + sigma * rng.standard_normal(mu.shape))
-    else:
-        draws = _sample_many(model, count, cfg.seed, cfg.mask_kind)
+    post = (posterior(corpus[idx], model.encoder, model.table)
+            if mode == "posterior" else None)
+    draws = _sample_many(model, count, args.seed, args.mask_kind, post)
     samples = [g for g, _ in draws]
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(cfg.out_dir / "samples.jsonl",
-                 ({**graph_to_obj(g), "logprob": tr.total_logprob}
-                  for g, tr in draws))
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_jsonl(args.out_dir / "samples.jsonl",
+                ({**graph_to_obj(g), "logprob": tr.total_logprob}
+                 for g, tr in draws))
     qm = compute_metrics(samples, corpus, model.table)
     valence_validity = sum(
         1 for g in samples if g.n >= 1 and valence_ok(g, model.table)) / count
     report = {**qm.as_dict(), "valence_validity": valence_validity,
               "sampler": _sampler_record([tr for _, tr in draws]),
-              "meta": _meta(cfg, mode=cfg.options["mode"], count=count)}
-    _write_json(cfg.out_dir / "metrics.json", report)
+              "meta": _meta(args, mode=args.mode, count=count)}
+    _write_json(args.out_dir / "metrics.json", report)
     print(f"sampled {count} molecules ({mode}); valence validity"
           f" {valence_validity:.3f}, strict validity {qm.validity:.3f},"
           f" uniqueness {qm.uniqueness:.3f}, novelty {qm.novelty:.3f}")
     return 0
 
 
-def _posterior_draw(g, model, rng):
-    post = posterior(g, model.encoder, model.table)
-    return post.mu.data + post.sigma.data * rng.standard_normal(
-        post.mu.data.shape)
+def _corpus_molecule(corpus, index: int, flag: str):
+    if not 0 <= index < len(corpus):
+        raise UsageError(f"{flag} outside corpus of {len(corpus)}")
+    return corpus[index]
 
 
-def cmd_interpolate(cfg: RunConfig) -> int:
-    ckpt = _load_checkpoint(cfg)
-    corpus = _load_corpus(cfg)
-    model = ckpt.model
-    steps = cfg.options["steps"]
-    for key in ("mol_a", "mol_b"):
-        if not 0 <= cfg.options[key] < len(corpus):
-            raise UsageError(f"--{key.replace('_', '-')} outside corpus"
-                             f" of {len(corpus)}")
-    ga, gb = corpus[cfg.options["mol_a"]], corpus[cfg.options["mol_b"]]
+def _decode_and_write(args, model, rng, n: int, dot_prefix: str,
+                      column: str, points, **meta) -> None:
+    """Decode each (value, latent) point at ``n`` nodes; write one DOT file
+    and one JSON line per point, then the run's metadata."""
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    records = []
+    for s, (value, z) in enumerate(points):
+        g, _ = sample_graph(model.decoder, rng, z=z, n=n,
+                            mask_kind=args.mask_kind, table=model.table)
+        records.append({"step": s, column: value, **graph_to_obj(g)})
+        (args.out_dir / f"{dot_prefix}_{s:03d}.dot").write_text(
+            to_dot(g, name=f"{dot_prefix}_{s}"))
+    write_jsonl(args.out_dir / f"{args.subcommand}.jsonl", records)
+    _write_json(args.out_dir / f"{args.subcommand}_meta.json",
+                _meta(args, **meta))
+
+
+def cmd_interpolate(args) -> int:
+    model = _load_checkpoint(args).model
+    corpus = _load_corpus(args)
+    ga = _corpus_molecule(corpus, args.mol_a, "--mol-a")
+    gb = _corpus_molecule(corpus, args.mol_b, "--mol-b")
     if ga.n != gb.n:
         raise UsageError("endpoint molecules must have equal node counts"
                          f" (got {ga.n} and {gb.n})")
-    rng = np.random.default_rng(cfg.seed)
-    za, zb = _posterior_draw(ga, model, rng), _posterior_draw(gb, model, rng)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
-    weights = np.linspace(1.0, 0.0, steps)
-    for s, a in enumerate(weights):
-        z = a * za + (1.0 - a) * zb
-        g, _ = sample_graph(model.decoder, rng, z=z, n=ga.n,
-                            mask_kind=cfg.mask_kind, table=model.table)
-        records.append({"step": s, "weight": float(a), **graph_to_obj(g)})
-        (cfg.out_dir / f"interp_{s:03d}.dot").write_text(
-            to_dot(g, name=f"interp_{s}"))
-    _write_jsonl(cfg.out_dir / "interpolate.jsonl", records)
-    _write_json(cfg.out_dir / "interpolate_meta.json", _meta(
-        cfg, mol_a=cfg.options["mol_a"], mol_b=cfg.options["mol_b"],
-        steps=steps))
-    print(f"interpolated {steps} steps between molecules"
-          f" {cfg.options['mol_a']} and {cfg.options['mol_b']}")
+    rng = np.random.default_rng(args.seed)
+    pa, pb = (posterior(g, model.encoder, model.table) for g in (ga, gb))
+    za = sample_latent(pa.mu.data, pa.sigma.data, rng)
+    zb = sample_latent(pb.mu.data, pb.sigma.data, rng)
+    weights = np.linspace(1.0, 0.0, args.steps)
+    _decode_and_write(args, model, rng, ga.n, "interp", "weight",
+                      [(float(a), a * za + (1.0 - a) * zb) for a in weights],
+                      mol_a=args.mol_a, mol_b=args.mol_b, steps=args.steps)
+    print(f"interpolated {args.steps} steps between molecules"
+          f" {args.mol_a} and {args.mol_b}")
     return 0
 
 
-def cmd_perturb(cfg: RunConfig) -> int:
-    ckpt = _load_checkpoint(cfg)
-    corpus = _load_corpus(cfg)
-    model = ckpt.model
-    if not 0 <= cfg.options["mol"] < len(corpus):
-        raise UsageError(f"--mol outside corpus of {len(corpus)}")
-    g0 = corpus[cfg.options["mol"]]
-    node = cfg.options["node"]
+def cmd_perturb(args) -> int:
+    model = _load_checkpoint(args).model
+    corpus = _load_corpus(args)
+    g0 = _corpus_molecule(corpus, args.mol, "--mol")
+    node = args.node
     if not 0 <= node < g0.n:
         raise UsageError(f"--node outside molecule of {g0.n} nodes")
-    amplitudes = cfg.options["amplitudes"]
-    rng = np.random.default_rng(cfg.seed)
-    z0 = _posterior_draw(g0, model, rng)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    records = []
-    for s, a in enumerate(amplitudes):
+    rng = np.random.default_rng(args.seed)
+    post = posterior(g0, model.encoder, model.table)
+    z0 = sample_latent(post.mu.data, post.sigma.data, rng)
+    points = []
+    for a in args.amplitudes:
         z = z0.copy()
         z[node] = z0[node] + a * z0[node]
-        g, _ = sample_graph(model.decoder, rng, z=z, n=g0.n,
-                            mask_kind=cfg.mask_kind, table=model.table)
-        records.append({"step": s, "amplitude": a, **graph_to_obj(g)})
-        (cfg.out_dir / f"perturb_{s:03d}.dot").write_text(
-            to_dot(g, name=f"perturb_{s}"))
-    _write_jsonl(cfg.out_dir / "perturb.jsonl", records)
-    _write_json(cfg.out_dir / "perturb_meta.json", _meta(
-        cfg, mol=cfg.options["mol"], node=node, amplitudes=amplitudes))
-    print(f"perturbed node {node} of molecule {cfg.options['mol']}"
-          f" at {len(amplitudes)} amplitudes")
+        points.append((a, z))
+    _decode_and_write(args, model, rng, g0.n, "perturb", "amplitude", points,
+                      mol=args.mol, node=node, amplitudes=args.amplitudes)
+    print(f"perturbed node {node} of molecule {args.mol}"
+          f" at {len(args.amplitudes)} amplitudes")
     return 0
 
 
@@ -336,32 +311,31 @@ def _model_scores(graphs, ckpt: Checkpoint, seed: int):
             for i, g in enumerate(graphs)]
 
 
-def _synth_triangle_free(cfg: RunConfig) -> dict:
-    opts = cfg.options
-    rng = np.random.default_rng(cfg.seed)
-    n_graphs = opts["count"]
-    corpus = [gen_triangle_free(rng, int(rng.integers(6, opts["nodes"] + 1)))
+def _synth_triangle_free(args) -> dict:
+    rng = np.random.default_rng(args.seed)
+    n_graphs = args.count
+    corpus = [gen_triangle_free(rng, int(rng.integers(6, args.nodes + 1)))
               for _ in range(n_graphs)]
-    hyper = _hyper_from(cfg, source_kind="uniform")
+    hyper = _hyper_from(args, source_kind="uniform")
     ckpt = train(corpus, hyper)
-    draws = _sample_many(ckpt.model, opts["samples"], cfg.seed + 1,
-                         cfg.mask_kind)
+    draws = _sample_many(ckpt.model, args.samples, args.seed + 1,
+                         args.mask_kind)
     triangle_counts = [_count_triangles(g) for g, _ in draws]
     validity = sum(1 for c in triangle_counts if c == 0) / len(draws)
-    write_corpus(corpus, cfg.out_dir / "synth_corpus.jsonl")
-    save_checkpoint(cfg.out_dir / "synth_checkpoint.bin", ckpt)
+    write_corpus(corpus, args.out_dir / "synth_corpus.jsonl")
+    save_checkpoint(args.out_dir / "synth_checkpoint.bin", ckpt)
     return {"experiment": "triangle_free", "validity": validity,
             "n_samples": len(draws), "max_triangles": max(triangle_counts),
             "n_corpus": n_graphs}
 
 
-def _synth_ranked(cfg: RunConfig, kind: str) -> dict:
-    opts = cfg.options
-    rng = np.random.default_rng(cfg.seed)
-    n_graphs = opts["count"]
+def _synth_ranked(args) -> dict:
+    kind = args.experiment
+    rng = np.random.default_rng(args.seed)
+    n_graphs = args.count
     if kind == "kronecker":
         # the largest power of two nodes that --nodes allows
-        k = opts["nodes"].bit_length() - 1
+        k = args.nodes.bit_length() - 1
         spec = KroneckerSpec(KRONECKER_INITIATOR, k=k)
         graphs, true_ll = [], []
         while len(graphs) < n_graphs:
@@ -371,15 +345,15 @@ def _synth_ranked(cfg: RunConfig, kind: str) -> dict:
             graphs.append(g)
             true_ll.append(loglik_kronecker(g, spec))
     else:
-        samples = [gen_ba(opts["nodes"], 1, rng) for _ in range(n_graphs)]
+        samples = [gen_ba(args.nodes, 1, rng) for _ in range(n_graphs)]
         graphs = [s.graph for s in samples]
         true_ll = [loglik_ba(s) for s in samples]
-    hyper = _hyper_from(cfg, source_kind="uniform")
+    hyper = _hyper_from(args, source_kind="uniform")
     ckpt = train(graphs, hyper)
-    model_ll = _model_scores(graphs, ckpt, cfg.seed + 7)
+    model_ll = _model_scores(graphs, ckpt, args.seed + 7)
     rho, up, down = ranking_agreement(true_ll, model_ll)
-    write_corpus(graphs, cfg.out_dir / "synth_corpus.jsonl")
-    save_checkpoint(cfg.out_dir / "synth_checkpoint.bin", ckpt)
+    write_corpus(graphs, args.out_dir / "synth_corpus.jsonl")
+    save_checkpoint(args.out_dir / "synth_checkpoint.bin", ckpt)
     return {"experiment": kind, "spearman_rho": rho, "precision_top": up,
             "precision_bottom": down, "n_graphs": len(graphs)}
 
@@ -389,23 +363,22 @@ def _flat_params(model) -> np.ndarray:
                            for _, t in model.tensors()])
 
 
-def _synth_perm_drift(cfg: RunConfig) -> dict:
-    opts = cfg.options
-    rng = np.random.default_rng(cfg.seed)
-    corpus = [random_molecule(rng, int(rng.integers(5, opts["nodes"] + 1)),
-                              DEFAULT_TABLE) for _ in range(opts["count"])]
-    perm_rng = np.random.default_rng(cfg.seed + 999)
+def _synth_perm_drift(args) -> dict:
+    rng = np.random.default_rng(args.seed)
+    corpus = [random_molecule(rng, int(rng.integers(5, args.nodes + 1)),
+                              DEFAULT_TABLE) for _ in range(args.count)]
+    perm_rng = np.random.default_rng(args.seed + 999)
     relabeled = [g.relabel(list(perm_rng.permutation(g.n))) for g in corpus]
-    stride = max(1, opts["iters"] // 10)
+    stride = max(1, args.iters // 10)
     curves = {}
     for kind in SOURCE_KINDS:
-        hyper = _hyper_from(cfg, source_kind=kind)
+        hyper = _hyper_from(args, source_kind=kind)
         snaps: dict[int, dict[str, np.ndarray]] = {"a": {}, "b": {}}
 
         def recorder(side):
             def log(rec):
                 it = rec["iteration"]
-                if it % stride == 0 or it == opts["iters"] - 1:
+                if it % stride == 0 or it == args.iters - 1:
                     snaps[side][it] = _flat_params(rec["model"])
             return log
 
@@ -416,19 +389,18 @@ def _synth_perm_drift(cfg: RunConfig) -> dict:
              "distance": float(np.linalg.norm(snaps["a"][it] - snaps["b"][it]))}
             for it in sorted(snaps["a"])]
     return {"experiment": "perm_drift", "curves": curves,
-            "n_corpus": opts["count"]}
+            "n_corpus": args.count}
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    experiment = cfg.options["experiment"]
+def cmd_synth(args) -> int:
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    experiment = args.experiment
     runner = {"triangle_free": _synth_triangle_free,
-              "kronecker": lambda c: _synth_ranked(c, "kronecker"),
-              "ba": lambda c: _synth_ranked(c, "ba"),
+              "kronecker": _synth_ranked, "ba": _synth_ranked,
               "perm_drift": _synth_perm_drift}[experiment]
-    report = runner(cfg)
-    report["meta"] = _meta(cfg, iters=cfg.options["iters"])
-    _write_json(cfg.out_dir / "synth_metrics.json", report)
+    report = runner(args)
+    report["meta"] = _meta(args, iters=args.iters)
+    _write_json(args.out_dir / "synth_metrics.json", report)
     keys = [k for k in ("validity", "spearman_rho") if k in report]
     shown = ", ".join(f"{k}={report[k]:.3f}" for k in keys) or "drift curves"
     print(f"synth {experiment}: {shown}")
@@ -439,48 +411,46 @@ def cmd_synth(cfg: RunConfig) -> int:
 # Bayesian optimization
 
 
-def cmd_bo(cfg: RunConfig) -> int:
+def cmd_bo(args) -> int:
     # imported here so the other subcommands start without SciPy
-    from .latentopt import (PropertyOracle, bo_loop, make_molecule_decoder,
+    from .latentopt import (bo_loop, make_molecule_decoder,
                             molecule_embedding, proxy_property, sgp_loglik,
                             sgp_predict)
 
-    ckpt = _load_checkpoint(cfg)
-    corpus = _load_corpus(cfg)
+    ckpt = _load_checkpoint(args)
+    corpus = _load_corpus(args)
     if len(corpus) < 3:
         raise UsageError("bo needs a corpus of at least 3 molecules")
     model = ckpt.model
-    opts = cfg.options
     embeddings = np.array([
         molecule_embedding(posterior(g, model.encoder, model.table))
         for g in corpus])
-    oracle = PropertyOracle(
-        "proxy", lambda g: proxy_property(g, lambda_n=model.lambda_n))
+    oracle = partial(proxy_property, lambda_n=model.lambda_n)
     scores = np.array([oracle(g) for g in corpus])
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(corpus))
-    n_test = max(1, int(round(opts["test_fraction"] * len(corpus))))
+    n_test = max(1, int(round(args.test_fraction * len(corpus))))
     test_ids, train_ids = order[:n_test], order[n_test:]
     if len(train_ids) < 2:
         raise UsageError("corpus too small for the requested test fraction")
     x_tr, y_tr = embeddings[train_ids], scores[train_ids]
     x_te, y_te = embeddings[test_ids], scores[test_ids]
 
-    n_inducing = min(opts["inducing"], len(x_tr))
+    n_inducing = min(args.inducing, len(x_tr))
     decode = make_molecule_decoder(
         model, [corpus[i] for i in train_ids], x_tr,
-        np.random.default_rng(cfg.seed + 1), mask_kind=cfg.mask_kind)
+        np.random.default_rng(args.seed + 1), mask_kind=args.mask_kind)
     result = bo_loop(x_tr, y_tr, decode_fn=decode, oracle=oracle,
-                     iters=opts["iters"], batch=opts["batch_size"],
-                     seed=cfg.seed, n_inducing=n_inducing)
+                     iters=args.iters, batch=args.batch_size,
+                     seed=args.seed, n_inducing=n_inducing)
     # the held-out fit is iteration 0's GP: the training rows, same seed
     mean_te, _ = sgp_predict(result.initial_model, x_te)
     rmse = float(np.sqrt(np.mean((mean_te - y_te) ** 2)))
     loglik = float(np.mean(sgp_loglik(result.initial_model, x_te, y_te)))
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out_dir / "bo_trace.json", {
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(args.out_dir / "bo_trace.json", {
         "history": result.history,
         "seconds": result.seconds,
         "fraction_valid": result.fraction_valid,
@@ -489,15 +459,15 @@ def cmd_bo(cfg: RunConfig) -> int:
         "sgp": {"held_out_loglik": loglik, "held_out_rmse": rmse,
                 "n_inducing": n_inducing, "n_train": len(train_ids),
                 "n_test": n_test},
-        "meta": _meta(cfg, iters=opts["iters"], batch=opts["batch_size"])})
-    with open(cfg.out_dir / "bo_scores.csv", "w", newline="") as fh:
+        "meta": _meta(args, iters=args.iters, batch=args.batch_size)})
+    with open(args.out_dir / "bo_scores.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "score", "n_atoms"])
         for rank, (g, score) in enumerate(result.ranked):
             writer.writerow([rank, score, g.n])
-    _write_jsonl(cfg.out_dir / "bo_molecules.jsonl",
-                 ({**graph_to_obj(g), "score": score}
-                  for g, score in result.ranked))
+    write_jsonl(args.out_dir / "bo_molecules.jsonl",
+                ({**graph_to_obj(g), "score": score}
+                 for g, score in result.ranked))
     print(f"bo: {len(result.ranked)} unique molecules,"
           f" fraction valid {result.fraction_valid:.2f},"
           f" SGP held-out RMSE {rmse:.3f}")
@@ -621,29 +591,18 @@ def _check_flags(options: dict) -> None:
                              f" got {options[key]}")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options = {k: v for k, v in vars(args).items()
-               if k not in ("subcommand", "seed", "out_dir", "mask",
-                            "corpus", "checkpoint")}
+def _complete_args(args: argparse.Namespace) -> None:
+    """Fill in what the flags imply, then range-check them."""
     if args.subcommand == "synth":
-        count_default, nodes_default = SYNTH_EXPERIMENTS[args.experiment][2]
-        if options.get("count") is None:
-            options["count"] = count_default
-        if options.get("nodes") is None:
-            options["nodes"] = nodes_default
+        args.mask_kind, _, (count, nodes) = SYNTH_EXPERIMENTS[args.experiment]
+        args.count = count if args.count is None else args.count
+        args.nodes = nodes if args.nodes is None else args.nodes
+    else:
+        args.mask_kind = MASK_FLAGS[args.mask]
     if args.subcommand == "perturb":
-        options["amplitudes"] = _parse_amplitudes(options["amplitudes"])
-    _check_flags({**options, "seed": args.seed})
-    return RunConfig(
-        subcommand=args.subcommand,
-        out_dir=Path(args.out_dir),
-        seed=args.seed,
-        mask_kind=(SYNTH_EXPERIMENTS[args.experiment][0]
-                   if args.subcommand == "synth" else MASK_FLAGS[args.mask]),
-        corpus=getattr(args, "corpus", None),
-        checkpoint=getattr(args, "checkpoint", None),
-        options=options,
-    )
+        args.amplitudes = _parse_amplitudes(args.amplitudes)
+    args.out_dir = Path(args.out_dir)
+    _check_flags(vars(args))
 
 
 _DISPATCH = {"train": cmd_train, "sample": cmd_sample,
@@ -654,8 +613,8 @@ _DISPATCH = {"train": cmd_train, "sample": cmd_sample,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.subcommand](cfg)
+        _complete_args(args)
+        return _DISPATCH[args.subcommand](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -54,14 +54,6 @@ class Posterior:
     sigma: T.Tensor  # n x D
 
 
-@dataclass
-class LatentSet:
-    """One reparameterized draw Z = mu + sigma * eps."""
-
-    z: T.Tensor      # n x D
-    eps: np.ndarray  # n x D, the frozen standard-normal noise
-
-
 def init_encoder(rng: np.random.Generator, D: int, K: int,
                  n_types: int = 4) -> EncoderParams:
     """Random small-scale initialization; biases start at zero."""
@@ -151,8 +143,12 @@ def posterior(g: MolecularGraph, params: EncoderParams,
     return Posterior(mu, sigma)
 
 
-def sample_latent(post: Posterior, rng: np.random.Generator) -> LatentSet:
-    """Reparameterized draw: Z = mu + sigma * eps with eps ~ N(0, I)."""
-    eps = rng.standard_normal(post.mu.data.shape)
-    z = T.add(post.mu, T.mul(post.sigma, T.Tensor(eps)))
-    return LatentSet(z=z, eps=eps)
+def sample_latent(mu, sigma, rng: np.random.Generator):
+    """Reparameterized draw Z = mu + sigma * eps with eps ~ N(0, I).
+
+    The one posterior draw: on Tensors (training) it records two tape ops,
+    a product and a sum, so gradients reach mu and sigma; on arrays (the
+    CLI, the BO decoder) it is plain numpy.  Either way it consumes
+    mu.shape standard normals from ``rng``.
+    """
+    return mu + sigma * rng.standard_normal(mu.shape)

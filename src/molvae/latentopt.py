@@ -35,7 +35,7 @@ from scipy.spatial.distance import pdist
 from scipy.special import erf
 
 from .decoder import sample_graph
-from .encoder import posterior
+from .encoder import posterior, sample_latent
 from .molgraph import (CERTIFICATE_LIMIT, DEFAULT_TABLE, MolecularGraph,
                        canonical_certificate, connected_components,
                        valence_ok)
@@ -351,15 +351,6 @@ def _neg_ei(v, model: SGPModel, best):
 # property oracles
 
 
-@dataclass(frozen=True)
-class PropertyOracle:
-    name: str
-    fn: object  # MolecularGraph -> float
-
-    def __call__(self, g: MolecularGraph) -> float:
-        return float(self.fn(g))
-
-
 def _min_cycle_basis_lengths(g: MolecularGraph) -> list[int]:
     """Lengths of a minimum cycle basis (sorted; the multiset is a graph
     invariant even though the basis itself is not unique).
@@ -612,8 +603,7 @@ def make_molecule_decoder(model_params, molecules, embeddings, rng,
                              model_params.table)
             encoded[nearest] = (post.mu.data, post.sigma.data)
         mu, sigma = encoded[nearest]
-        mu = mu + (v[:D] - emb[nearest][:D])
-        z = mu + sigma * rng.standard_normal(mu.shape)
+        z = sample_latent(mu + (v[:D] - emb[nearest][:D]), sigma, rng)
         try:
             g, _ = sample_graph(model_params.decoder, rng, z=z,
                                 mask_kind=mask_kind, table=model_params.table)

@@ -9,7 +9,7 @@ isomorphism classes at desk scale and back the novelty/uniqueness metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -130,14 +130,7 @@ class QualityMetrics:
     n_uncertified: int  # valid samples above CERTIFICATE_LIMIT
 
     def as_dict(self) -> dict:
-        return {
-            "validity": self.validity,
-            "novelty": self.novelty,
-            "uniqueness": self.uniqueness,
-            "n_samples": self.n_samples,
-            "n_valid": self.n_valid,
-            "n_uncertified": self.n_uncertified,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +185,15 @@ def parse_corpus(path, table: ValenceTable | None = None) -> list[MolecularGraph
     return graphs
 
 
-def write_corpus(graphs, path) -> None:
+def write_jsonl(path, records) -> None:
+    """One JSON object per line."""
     with open(path, "w") as fh:
-        for g in graphs:
-            fh.write(json.dumps(graph_to_obj(g)) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def write_corpus(graphs, path) -> None:
+    write_jsonl(path, map(graph_to_obj, graphs))
 
 
 def to_dot(g: MolecularGraph, name: str = "molecule") -> str:

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -69,9 +69,7 @@ class Hyperparams:
             raise ValueError(f"unknown partition mode {self.partition!r}")
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "D", "K", "L", "lr", "S", "batch_size", "iterations", "seed",
-            "mask_kind", "source_kind", "partition")}
+        return asdict(self)
 
 
 @dataclass
@@ -142,10 +140,7 @@ def bfs_edge_order(g: MolecularGraph, source: int,
     """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
-    adj: dict[int, list[int]] = {u: [] for u in range(g.n)}
-    for u, v, _ in g.bonds:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = g.adjacency()
     degrees = g.degrees()
     visited: set[int] = set()
     done: set[int] = set()
@@ -163,7 +158,7 @@ def bfs_edge_order(g: MolecularGraph, source: int,
             nbrs = adj[u]
             if len(nbrs) > 1:
                 nbrs = [nbrs[i] for i in rng.permutation(len(nbrs))]
-            for v in nbrs:
+            for v, _ in nbrs:
                 key = (min(u, v), max(u, v))
                 if v not in visited:
                     visited.add(v)
@@ -202,7 +197,7 @@ def elbo(g: MolecularGraph, model: ModelParams, hyper: Hyperparams,
     so a fixed generator state fixes the value.
     """
     post = posterior(g, model.encoder, model.table)
-    z = sample_latent(post, rng).z
+    z = sample_latent(post.mu, post.sigma, rng)
     recon = None
     for _ in range(hyper.S):
         src = sample_source(g, hyper.source_kind, rng)

@@ -18,7 +18,7 @@ import molvae.tensor as T
 from molvae.decoder import (edge_step_logprob, graph_logprob, heads,
                             init_decoder, poisson_logpmf, sample_graph)
 from molvae.encoder import posterior
-from molvae.latentopt import (PropertyOracle, bo_loop, expected_improvement,
+from molvae.latentopt import (bo_loop, expected_improvement,
                               make_molecule_decoder, molecule_embedding,
                               proxy_property, sgp_fit, sgp_predict)
 from molvae.masks import make_state
@@ -357,7 +357,9 @@ class _Point:
 
 def test_08_bo_finds_1d_optimum_and_decodes_valid_molecules(molecule_run, capfd):
     """Latent optimisation converges on a toy; decoded molecules stay valid."""
-    oracle = PropertyOracle("toy", lambda p: -(p.x - 0.37) ** 2)
+    def oracle(p):
+        return -(p.x - 0.37) ** 2
+
     x0 = np.array([[-1.0], [-0.4], [0.0], [0.8], [1.2]])
     y0 = np.array([oracle(_Point(v[0])) for v in x0])
     res = bo_loop(x0, y0, lambda v: _Point(v[0]), oracle, iters=5, batch=5,
@@ -374,7 +376,7 @@ def test_08_bo_finds_1d_optimum_and_decodes_valid_molecules(molecule_run, capfd)
     scores = np.array([proxy_property(g) for g in mols])
     decode = make_molecule_decoder(ckpt.model, mols, embs,
                                    np.random.default_rng(77))
-    res2 = bo_loop(embs, scores, decode, PropertyOracle("proxy", proxy_property),
+    res2 = bo_loop(embs, scores, decode, proxy_property,
                    iters=2, batch=20, seed=5)
     ok = toy_ok and res2.fraction_valid == 1.0
     _report(capfd, 8, "1d optimum within 0.05 in <=25 calls; decoded all valid",

@@ -115,7 +115,7 @@ def test_sample_latent_moments():
     params = _params(rng)
     g = MolecularGraph(("C", "C"), ((0, 1, 1),))
     post = E.posterior(g, params)
-    draws = np.stack([E.sample_latent(post, rng).z.data for _ in range(100_000)])
+    draws = np.stack([E.sample_latent(post.mu, post.sigma, rng).data for _ in range(100_000)])
     mean = draws.mean(axis=0)
     # sample mean within 4 standard errors of mu
     se = post.sigma.data / np.sqrt(draws.shape[0])

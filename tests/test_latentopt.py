@@ -1,6 +1,7 @@
 """Sparse GP, expected improvement, and the BO loop."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import molvae.tensor as T
 from molvae.encoder import Posterior, posterior
 import molvae.latentopt as latentopt
 from molvae.decoder import sample_graph
-from molvae.latentopt import (JITTERS, BOResult, PropertyOracle, _fitc,
+from molvae.latentopt import (JITTERS, BOResult, _fitc,
                               _min_cycle_basis_lengths, _neg_ei, _solve_tri,
                               _sqdist, bo_loop,
                               expected_improvement, make_molecule_decoder,
@@ -638,7 +639,7 @@ def test_molecule_pipeline_decodes_valid():
                      for m in mols])
     decode = make_molecule_decoder(model, mols, embs, rng, mask_kind="valence")
     lam = float(np.mean([m.n for m in mols]))
-    oracle = PropertyOracle("proxy", lambda g: proxy_property(g, lambda_n=lam))
+    oracle = partial(proxy_property, lambda_n=lam)
     scores = np.array([oracle(m) for m in mols])
     result = bo_loop(embs, scores, decode_fn=decode, oracle=oracle,
                      iters=1, batch=4, seed=5)
