@@ -580,8 +580,8 @@ def _check_flags(options: dict) -> None:
     if "lr" in options and not (math.isfinite(options["lr"])
                                 and options["lr"] > 0):
         raise UsageError(f"--lr must be finite and positive, got {options['lr']}")
-    if "test_fraction" in options and not 0.0 <= options["test_fraction"] < 1.0:
-        raise UsageError("--test-fraction must be in [0, 1),"
+    if "test_fraction" in options and not 0.0 < options["test_fraction"] < 1.0:
+        raise UsageError("--test-fraction must be in (0, 1),"
                          f" got {options['test_fraction']}")
     experiment = options.get("experiment")
     minimum = SYNTH_EXPERIMENTS[experiment][1] if experiment else ()

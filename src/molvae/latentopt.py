@@ -40,7 +40,7 @@ from .molgraph import (CERTIFICATE_LIMIT, DEFAULT_TABLE, MolecularGraph,
                        canonical_certificate, connected_components,
                        valence_ok)
 
-JITTERS = (1e-10, 1e-8, 1e-6)
+JITTERS = (1e-10, 1e-8, 1e-6)  # K_uu's added diagonal, in units of s2f
 HYPER_BOX = 5.0  # half-width of the log-hyperparameter search box
 
 
@@ -63,7 +63,7 @@ class SGPModel:
     s2f: float
     lengthscale: float
     noise: float
-    jitter: float
+    jitter: float  # the rung of JITTERS that factorized, relative to s2f
     y_mean: float
     alpha: np.ndarray = field(repr=False)
     l_uu: np.ndarray = field(repr=False)
@@ -112,6 +112,8 @@ def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
     inputs and from them to the data rows (``_sqdist(xu, xu)`` and
     ``_sqdist(xu, x)``).  They do not depend on the hyperparameters, so
     ``sgp_fit`` computes them once per fit; nothing here is checked again.
+    K_uu carries ``jitter * s2f`` on its diagonal, so a rung stabilises a
+    kernel of any scale, and dK_uu / dlog s2f is that jittered K_uu.
 
     With A = L_uu^-1 K_uf, the FITC covariance is C = A'A + diag(lam) where
     lam = diag(K_ff - A'A) + noise.  The Woodbury identity reduces it to
@@ -131,7 +133,8 @@ def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
     m = d_uu.shape[0]
     inv_l2 = 1.0 / lengthscale ** 2
     kuu = s2f * np.exp(-0.5 * inv_l2 * d_uu)
-    l_uu = np.linalg.cholesky(kuu + jitter * np.eye(m))
+    kuu_jit = kuu + (jitter * s2f) * np.eye(m)
+    l_uu = np.linalg.cholesky(kuu_jit)
     kuf = s2f * np.exp(-0.5 * inv_l2 * d_uf)
     a = _solve_tri(l_uu, kuf, lower=True)
     dk_uf = d_uf * kuf  # lengthscale^2 dK_uf / dlog lengthscale
@@ -163,7 +166,7 @@ def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
     g_kuf = np.einsum("ij,ji->", l_uu, a_gt)  # sum(G * K_uf), K_uf = L_uu A
     r_sum = r.sum()
     grad = 0.5 * np.array([
-        2.0 * g_kuf - np.einsum("ij,ij->", gpt, kuu) + s2f * r_sum,
+        2.0 * g_kuf - np.einsum("ij,ij->", gpt, kuu_jit) + s2f * r_sum,
         inv_l2 * (2.0 * np.einsum("mn,mn->", g, dk_uf)
                   - np.einsum("ij,ij,ij->", gpt, kuu, d_uu)),
         noise * r_sum])
@@ -181,8 +184,9 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     of that start: unbounded, degenerate data (constant scores, a handful
     of points) runs past every jitter.  ``iters`` (>= 0) caps the
     optimizer's iterations; ``hypers`` = (signal variance, lengthscale,
-    noise variance), each finite and positive, skips the fit.  Singular
-    kernels escalate through the jitter ladder.
+    noise variance), each finite and positive, skips the fit: the model
+    holds exactly these values.  Singular kernels escalate through the
+    jitter ladder, whose rungs are relative to s2f.
 
     The inputs are checked here and nowhere below: ``x`` and ``y`` must
     be finite.  The squared distances among the inducing inputs and from
@@ -212,14 +216,13 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     yc = y - y_mean
 
     if hypers is not None:
-        hypers = np.asarray(hypers, dtype=np.float64)
-        if hypers.shape != (3,):
+        h = np.asarray(hypers, dtype=np.float64)
+        if h.shape != (3,):
             raise ValueError("hypers must be (s2f, lengthscale, noise)")
-        for name, v in zip(("s2f", "lengthscale", "noise"), hypers):
+        for name, v in zip(("s2f", "lengthscale", "noise"), h):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"hypers {name} must be finite and"
                                  f" positive, got {v}")
-        start = np.log(hypers)
         iters = 0
     else:
         var_y = float(yc.var()) + 1e-8
@@ -228,32 +231,31 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
         start = np.array([math.log(var_y),
                           0.5 * math.log(max(median_sq, 1e-8)),
                           math.log(0.1 * var_y)])
-    bounds = [(v - HYPER_BOX, v + HYPER_BOX) for v in start]
-    last = [None, None, None]  # log_h, jitter, _fitc output
+        bounds = [(v - HYPER_BOX, v + HYPER_BOX) for v in start]
+        h = np.exp(start)
+    last = [None, None, None]  # hyperparameters, jitter, _fitc output
 
-    def factors(log_h, jitter):
-        if not (jitter == last[1] and np.array_equal(log_h, last[0])):
-            last[:] = (log_h.copy(), jitter,
-                       _fitc(d_uu, d_uf, yc, *np.exp(log_h), jitter))
+    def factors(h, jitter):
+        if not (jitter == last[1] and np.array_equal(h, last[0])):
+            last[:] = (h.copy(), jitter, _fitc(d_uu, d_uf, yc, *h, jitter))
         return last[2]
 
     def neg_lml(log_h, jitter):
-        lml, grad = factors(log_h, jitter)[4:]
+        lml, grad = factors(np.exp(log_h), jitter)[4:]
         return -lml, -grad
 
     for jitter in JITTERS:
         try:
-            log_h = start
             if iters > 0:
-                log_h = minimize(neg_lml, start, args=(jitter,), jac=True,
-                                 method="L-BFGS-B", bounds=bounds,
-                                 options={"maxiter": iters}).x
-            l_uu, l_b, _, c, _, _ = factors(log_h, jitter)
+                h = np.exp(minimize(neg_lml, start, args=(jitter,), jac=True,
+                                    method="L-BFGS-B", bounds=bounds,
+                                    options={"maxiter": iters}).x)
+            l_uu, l_b, _, c, _, _ = factors(h, jitter)
             break
         except np.linalg.LinAlgError:
             if jitter == JITTERS[-1]:
                 raise
-    s2f, lengthscale, noise = (float(v) for v in np.exp(log_h))
+    s2f, lengthscale, noise = (float(v) for v in h)
     alpha = _solve_tri(l_uu.T, _solve_tri(l_b.T, c, lower=False),
                        lower=False)
     return SGPModel(inducing=xu, s2f=s2f, lengthscale=lengthscale,

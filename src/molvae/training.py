@@ -12,6 +12,7 @@ self-describing checkpoint file.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from collections import deque
@@ -28,6 +29,7 @@ from .molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable, is_integer
 
 SOURCE_KINDS = ("uniform", "degree", "max_degree")
 PARTITION_MODES = ("exact", "negative_sampled")
+LAMBDA_FLOOR = 1e-6  # node-count rate fitted to a corpus of one-atom graphs
 
 
 def _finite_positive(x) -> bool:
@@ -212,10 +214,29 @@ def elbo(g: MolecularGraph, model: ModelParams, hyper: Hyperparams,
 
 
 def fit_lambda_n(corpus) -> float:
-    """Node-count rate: the corpus mean, the untruncated Poisson's MLE."""
+    """Node-count rate: the MLE of the zero-truncated Poisson law that
+    ``sample_graph`` draws n from and ``elbo`` charges.
+
+    It is the root of lambda / (1 - exp(-lambda)) = mean node count, found
+    by Newton steps from lambda = mean.  The left side is increasing and
+    convex, and the start lies above the root, so every step stays above
+    it and the steps shrink until rounding stops them.  A mean of 1 (every
+    graph one atom) has no positive root: the fit returns LAMBDA_FLOOR,
+    under which a draw has n = 1 with probability about 1 - LAMBDA_FLOOR/2.
+    """
     if not corpus:
         raise ValueError("cannot fit a node-count rate to an empty corpus")
-    return float(np.mean([g.n for g in corpus]))
+    mean = float(np.mean([g.n for g in corpus]))
+    if mean <= 1.0:
+        return LAMBDA_FLOOR
+    lam = mean
+    for _ in range(100):
+        q = -math.expm1(-lam)  # 1 - exp(-lam)
+        step = (lam / q - mean) * q * q / (q - lam * math.exp(-lam))
+        if not step > 0.0:
+            break
+        lam -= step
+    return lam
 
 
 # ---------------------------------------------------------------------------

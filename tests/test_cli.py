@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -50,7 +51,8 @@ def test_train_outputs(workspace):
     assert len(log) == 11
     meta = json.loads((run / "train_meta.json").read_text())
     assert meta["n_molecules"] == 12
-    assert meta["lambda_n"] == pytest.approx(6.0)
+    lam = meta["lambda_n"]  # zero-truncated MLE at mean node count 6
+    assert lam / -math.expm1(-lam) == pytest.approx(6.0, rel=1e-12, abs=0)
 
 
 def test_train_rerun_is_deterministic(workspace, tmp_path):
@@ -385,6 +387,7 @@ def test_argparse_usage_errors(workspace, tmp_path, capsys):
             (bo + ["--inducing", "0"], "--inducing"),
             (bo + ["--batch-size", "0"], "--batch-size"),
             (bo + ["--test-fraction", "nan"], "--test-fraction"),
+            (bo + ["--test-fraction", "0"], "--test-fraction"),
             (["synth", "--experiment", "ba", "--nodes", "1"], "--nodes"),
             (["synth", "--experiment", "kronecker", "--nodes", "1"],
              "--nodes"),

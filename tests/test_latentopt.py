@@ -201,9 +201,9 @@ def test_sgp_fit_rejects_overflowing_distances():
             sgp_fit(x, y, n_inducing=5)
 
 
-def _duplicate_rows():
+def _duplicate_rows(seed=8):
     """Ten random rows, each twice, scored by their first coordinate."""
-    rng = np.random.default_rng(8)
+    rng = np.random.default_rng(seed)
     base = rng.standard_normal((10, 2))
     return np.vstack([base, base]), np.concatenate([base[:, 0], base[:, 0]])
 
@@ -223,11 +223,11 @@ def test_sgp_fit_keeps_factors_of_a_fresh_fitc(case):
         kwargs["hypers"] = (1.3, 0.9, 0.05)
     elif case == "duplicates":
         x, y = _duplicate_rows()
-        y = 1e3 * y  # s2f near 1e6: only the last jitter factorizes
+        y = 1e3 * y  # s2f near 2e8: the relative jitter's first rung holds
         kwargs = {"n_inducing": 20, "seed": 0}
     model = sgp_fit(x, y, **kwargs)
     if case == "duplicates":
-        assert model.jitter == JITTERS[-1]
+        assert model.jitter == JITTERS[0]
     l_uu, l_b, _, c = _fitc_at(x, y - float(y.mean()), model.inducing,
                                model.s2f, model.lengthscale, model.noise,
                                model.jitter)[:4]
@@ -283,6 +283,26 @@ def test_sgp_duplicate_rows_survive_via_jitter():
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_sgp_fit_survives_large_scores(seed):
+    # s2f near 1e14: an absolute jitter of 1e-6 is lost in K_uu's rounding
+    # and every rung failed; one relative to s2f holds at the first
+    x, y = _duplicate_rows(seed)
+    model = sgp_fit(x, 1e6 * y, n_inducing=20, seed=seed)
+    assert model.jitter == JITTERS[0]
+    mean, var = sgp_predict(model, x[:10])
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+
+
+def test_sgp_fit_holds_given_hypers_exactly():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((40, 3))
+    y = np.sin(2.0 * x[:, 0]) + x[:, 1] ** 2
+    for hypers in ((1.3, 0.9, 0.05), (0.37, 2.9, 0.013), (7.1, 0.11, 0.29)):
+        model = sgp_fit(x, y, n_inducing=15, seed=1, hypers=hypers)
+        assert (model.s2f, model.lengthscale, model.noise) == hypers
+
+
 def _fitc_at(x, yc, xu, s2f, lengthscale, noise, jitter):
     """``_fitc`` on the data rows and inducing inputs themselves."""
     return _fitc(_sqdist(xu, xu), _sqdist(xu, x), yc, s2f, lengthscale,
@@ -296,7 +316,7 @@ def _dense_fitc_log_marginal(x, yc, xu, s2f, lengthscale, noise, jitter):
         d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
         return s2f * np.exp(-0.5 * d2 / lengthscale ** 2)
 
-    kuu = kern(xu, xu) + jitter * np.eye(len(xu))
+    kuu = kern(xu, xu) + jitter * s2f * np.eye(len(xu))
     kuf = kern(xu, x)
     qff = kuf.T @ np.linalg.solve(kuu, kuf)
     cov = qff + np.diag(s2f - np.diag(qff) + noise)
@@ -322,6 +342,7 @@ def test_fitc_log_marginal_matches_dense_density(hypers):
     (60, 25, (2.5, 0.4, 0.01), 1e-6),
     (8, 8, (1.0, 2.0, 1e-3), 1e-6),
     (5, 1, (0.7, 0.6, 0.2), 1e-10),
+    (20, 12, (2.0, 0.7, 0.1), 1e-1),  # jitter large enough to see in dK_uu
 ])
 def test_fitc_gradient_matches_central_differences(n, m, hypers, jitter):
     rng = np.random.default_rng(n + m)

@@ -312,13 +312,34 @@ def test_elbo_node_term_is_the_sampler_law(monkeypatch):
 # fitting and batching
 
 
+def _atoms(n):
+    return MolecularGraph(("C",) * n, tuple((u, u + 1, 1) for u in range(n - 1)))
+
+
 def test_fit_lambda_n():
-    g2 = MolecularGraph(("C", "C"), ((0, 1, 1),))
-    g4 = MolecularGraph(("C",) * 4, ((0, 1, 1), (1, 2, 1), (2, 3, 1)))
-    assert fit_lambda_n([g2, g4]) == 3.0
-    assert fit_lambda_n([g4, g4, g4]) == 4.0
+    # the zero-truncated Poisson MLE: lambda / (1 - exp(-lambda)) = mean
+    assert abs(fit_lambda_n([_atoms(2)]) - 1.5936242600400) <= 1e-12
+    for sizes in ([1, 2], [1, 1, 1, 2], [2, 4], [7, 8], [1] * 99 + [2],
+                  [60, 70]):
+        mean = float(np.mean(sizes))
+        lam = fit_lambda_n([_atoms(n) for n in sizes])
+        assert lam <= mean
+        assert abs(lam / -math.expm1(-lam) - mean) <= 1e-12
+    assert fit_lambda_n([_atoms(1)] * 3) == training.LAMBDA_FLOOR
     with pytest.raises(ValueError):
         fit_lambda_n([])
+
+
+def test_one_atom_corpus_trains_and_samples_one_atom():
+    corpus = [MolecularGraph((sym,), ()) for sym in "CCNOH"]
+    hyper = Hyperparams(D=4, K=2, L=3, batch_size=5, iterations=3, seed=2)
+    model = train(corpus, hyper).model
+    assert model.lambda_n == training.LAMBDA_FLOOR
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        g, _ = sample_graph(model.decoder, rng, lambda_n=model.lambda_n,
+                            mask_kind="valence", table=model.table)
+        assert g.n == 1
 
 
 def test_batches_have_uniform_node_count():
