@@ -8,10 +8,13 @@ training (exact or negative-sampled edge partitions) and untaped scoring.
 
 Every head is defined once, in ``heads``, and evaluated once per graph:
 the edge and bond-order heads are linear in z_u + z_v, so one projection
-per node scores every pair.  The likelihood scores the whole edge sequence
-as one tape op over those score arrays: its forward pass walks the mask
-state step by step, and its backward pass scatters every step's one-hot
-minus softmax into one gradient array per score array.  It equals the
+per node scores every pair.  Scoring an edge sequence has two halves.
+``plan_edges`` walks the mask state step by step and records which scores
+each step's softmax reads; it needs no score, so a training batch plans
+every sequence before any value is computed.  Then one tape op scores
+every planned sequence of a batch over the stacked score arrays, and its
+backward pass scatters every step's one-hot minus softmax into one
+gradient array per score array.  Each sequence's value equals the
 composition of the per-step ``edge_step_logprob`` and
 ``weight_step_logprob``.  The sampler reads the same scores untaped.
 
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import tensor as T
 from .masks import MaskState, make_state
-from .molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable
+from .molgraph import DEFAULT_TABLE, GraphBatch, MolecularGraph, ValenceTable
 
 
 @dataclass
@@ -98,25 +101,39 @@ def type_logits(z: T.Tensor, params: DecoderParams) -> T.Tensor:
 
 
 def edge_count_dist(z: T.Tensor, params: DecoderParams) -> tuple[T.Tensor, T.Tensor]:
-    """(rate, log rate) of the Poisson edge count; invariant to node order.
+    """(rate, log rate) of the Poisson edge count, one per graph of ``z``;
+    invariant to node order.
 
     Per-node softplus features are summed over nodes before the linear
     scalar head, so any node relabeling leaves the rate unchanged.
     """
     h = T.softplus(T.add(T.linear(z, params.w_count), params.b_count))
-    pooled = T.reshape(T.sum_axis(h, axis=0), (1, -1))
-    log_rate = T.reshape(T.linear(pooled, params.w_count_out), ()) + params.b_count_out
+    pooled = T.sum_axis(h, axis=-2)
+    log_rate = T.reshape(T.linear(pooled, params.w_count_out), z.shape[:-2]) \
+        + params.b_count_out
     return T.exp(log_rate), log_rate
 
 
-def poisson_logpmf(k: int, rate, log_rate):
-    """log Poisson(k; rate), for Tensors or plain floats alike."""
-    return float(k) * log_rate - rate - math.lgamma(k + 1)
+def _log_factorial(k):
+    """log k! of a count, or elementwise of a 1-D array of counts."""
+    if np.ndim(k) == 0:
+        return math.lgamma(k + 1)
+    return np.array([math.lgamma(c + 1) for c in k])
+
+
+def poisson_logpmf(k, rate, log_rate):
+    """log Poisson(k; rate), for Tensors or plain floats alike; with
+    Tensors, ``k`` may be an array of counts shaped like ``rate``."""
+    return log_rate * k - rate - _log_factorial(k)
 
 
 @dataclass(frozen=True)
 class Heads:
-    """Every head of one decode; pair (u, v) scores at flat index u n + v."""
+    """Every head of one decode; pair (u, v) scores at flat index u n + v.
+
+    The shapes are those of one graph; heads of a batch of B graphs carry
+    a leading axis of length B.
+    """
 
     types: T.Tensor     # n x n_types, from type_logits
     rate: T.Tensor      # scalar, from edge_count_dist
@@ -126,22 +143,23 @@ class Heads:
 
 
 def heads(z: T.Tensor, params: DecoderParams) -> Heads:
-    """Every head for the nodes of ``z``, evaluated once per graph.
+    """Every head for the nodes of ``z`` (n x D, or B x n x D for a batch),
+    evaluated once per graph.
 
     The edge and bond-order heads are linear in z_u + z_v, so each comes
     from one projection per node, summed over all pairs by broadcasting:
     softplus(a_u + a_v + b) with a = z w^T.
     """
-    n = z.shape[0]
+    lead, n = z.shape[:-2], z.shape[-2]
     types = type_logits(z, params)
     rate, log_rate = edge_count_dist(z, params)
     a = T.linear(z, params.w_edge)
-    edges = T.softplus(T.add(T.add(a, T.reshape(a, (1, n))), params.b_edge))
+    edges = T.softplus(T.add(T.add(a, T.reshape(a, lead + (1, n))), params.b_edge))
     o = T.linear(z, params.w_order)
-    pair_o = T.add(T.reshape(o, (n, 1, 3)), T.reshape(o, (1, n, 3)))
+    pair_o = T.add(T.reshape(o, lead + (n, 1, 3)), T.reshape(o, lead + (1, n, 3)))
     orders = T.softplus(T.add(pair_o, params.b_order))
-    return Heads(types, rate, log_rate, T.reshape(edges, (-1,)),
-                 T.reshape(orders, (-1,)))
+    return Heads(types, rate, log_rate, T.reshape(edges, lead + (-1,)),
+                 T.reshape(orders, lead + (-1,)))
 
 
 def _edge_index(pairs, n: int) -> list[int]:
@@ -156,15 +174,19 @@ def _order_index(pair, n: int, orders) -> list[int]:
 # ---------------------------------------------------------------------------
 # log-probability terms
 
-def feature_logprob(g: MolecularGraph, h: Heads,
+def feature_logprob(g, h: Heads,
                     table: ValenceTable | None = None) -> T.Tensor:
-    """Sum over nodes of log softmax(type logits)[atom type]."""
+    """Sum over nodes of log softmax(type logits)[atom type]: one value,
+    or one per graph of a GraphBatch."""
     table = table or DEFAULT_TABLE
-    idx = np.array([table.index(sym) for sym in g.atom_types], dtype=np.intp)
+    graphs = g if isinstance(g, GraphBatch) else (g,)
+    lead, n_types = h.types.shape[:-2], h.types.shape[-1]
+    idx = np.array([table.index(sym) for gr in graphs for sym in gr.atom_types],
+                   dtype=np.intp)
     flat = T.reshape(h.types, (-1,))
-    own = T.gather_rows(flat, idx + np.arange(g.n) * h.types.shape[1])
-    norm = T.logsumexp(h.types, axis=1)
-    return T.sum_all(own) - T.sum_all(norm)
+    own = T.gather_rows(flat, idx + np.arange(idx.size) * n_types)
+    norm = T.logsumexp(h.types, axis=-1)
+    return T.sum_axis(T.reshape(own, lead + (g.n,)), -1) - T.sum_axis(norm, -1)
 
 
 def _edge_terms(state: MaskState, pair, n: int, partition: str, L: int,
@@ -226,91 +248,220 @@ def weight_step_logprob(h: Heads, state: MaskState, pair, order: int) -> T.Tenso
     return T.gather_rows(visible, k) - T.logsumexp(visible)
 
 
-_ONE = np.ones(1)  # the true term's +1 in a step's one-hot minus softmax
+@dataclass(frozen=True)
+class _Steps:
+    """Softmax steps of one kind, in step order.
 
-
-def _scatter(like: np.ndarray, steps_idx, steps_val, g) -> np.ndarray:
-    """g times every step's (index, value) pairs summed into zeros, last
-    step first: the order in which the per-step composition's backward
-    adds them, so the sums round alike."""
-    out = np.zeros_like(like)
-    if steps_idx:
-        np.add.at(out, np.concatenate(steps_idx[::-1]),
-                  g * np.concatenate(steps_val[::-1]))
-    return out
-
-
-def _sequence_logprob(total: T.Tensor, h: Heads, state: MaskState, seq,
-                      bond_orders, partition: str, L: int,
-                      rng: np.random.Generator | None) -> T.Tensor:
-    """``total`` plus every edge and bond-order step of ``seq``, one tape op.
-
-    The forward pass makes the mask calls of ``edge_step_logprob`` and
-    ``weight_step_logprob`` in their order, so it draws the same negatives,
-    and adds each step's score[true] - logsumexp(terms) to the running total
-    as their composition does, so the value is bit-identical.  Under a tape
-    the backward pass scatters every step's one-hot minus softmax into one
-    gradient array per score array, in the composition's order, so the
-    gradients are bit-identical too.  Untaped, nothing is kept for it.
+    Step i charges flat score ``true[i]`` against the ``size[i]`` terms at
+    the next ``size[i]`` entries of ``idx``; ``offset[i]`` is added to
+    every term but the first (negative sampling's log(pool / negatives),
+    0.0 for an exact partition), and ``at[i]`` is the step's position
+    among all steps of its sequence.
     """
-    n = h.types.shape[0]
-    edges, orders = h.edges.data, h.orders.data
-    taped = T.recording()
-    # per step: indices and values of the one-hot minus softmax, the +1
-    # first for an edge step and last for an order step, as the
-    # composition's backward adds them
-    e_idx: list[np.ndarray] = []
-    e_val: list[np.ndarray] = []
-    o_idx: list[np.ndarray] = []
-    o_val: list[np.ndarray] = []
-    out = total.data
-    for pair in seq:
-        true = pair[0] * n + pair[1]
-        idx, offset = _edge_terms(state, pair, n, partition, L, rng)
-        if idx is not None:
-            terms = edges[idx] if offset is None else edges[idx] + offset
-            lse = T.logsumexp_array(terms)
-            out = out + (edges[true] - lse)
+
+    true: np.ndarray
+    size: np.ndarray
+    idx: np.ndarray
+    offset: np.ndarray
+    at: np.ndarray
+
+    @classmethod
+    def of(cls, steps) -> "_Steps":
+        """From (true, term indices, offset, position) tuples."""
+        true, idx, offset, at = zip(*steps) if steps else ((),) * 4
+        return cls(np.array(true, dtype=np.intp),
+                   np.array([len(i) for i in idx], dtype=np.intp),
+                   np.fromiter((t for i in idx for t in i), dtype=np.intp),
+                   np.array(offset, dtype=np.float64),
+                   np.array(at, dtype=np.intp))
+
+    @staticmethod
+    def stack(parts, bases: np.ndarray, width: int):
+        """The steps of every sequence, the indices of sequence p shifted by
+        ``bases[p]`` and its positions to row p of a ``width``-column step
+        table whose column 0 holds the sequence's starting total; with the
+        sequence each step belongs to."""
+        owner = np.repeat(np.arange(len(parts)), [s.true.size for s in parts])
+        terms = np.repeat(bases, [s.idx.size for s in parts])
+        steps = _Steps(
+            np.concatenate([s.true for s in parts]) + bases[owner],
+            np.concatenate([s.size for s in parts]),
+            np.concatenate([s.idx for s in parts]) + terms,
+            np.concatenate([s.offset for s in parts]),
+            np.concatenate([s.at for s in parts]) + owner * width + 1)
+        return steps, owner
+
+    def logprobs(self, scores: np.ndarray, taped: bool):
+        """Each step's scores[true] - logsumexp(terms) and, when taped, the
+        softmax over each step's terms (else None).
+
+        Steps with the same number of terms are evaluated together, one
+        row each; a row's log-sum-exp rounds as that of the step's terms
+        alone, so every value matches the per-step ops bit for bit.
+        """
+        start = np.cumsum(self.size) - self.size
+        out = np.empty(self.size.size)
+        soft = np.empty(self.idx.size) if taped else None
+        for m in np.unique(self.size):
+            sel = np.flatnonzero(self.size == m)
+            cols = start[sel, None] + np.arange(m)
+            terms = scores[self.idx[cols]]
+            terms[:, 1:] += self.offset[sel, None]
+            lse = T.logsumexp_array(terms, axis=1)
+            out[sel] = scores[self.true[sel]] - lse
             if taped:
-                e_idx.append(np.array([true] + idx, dtype=np.intp))
-                e_val.append(np.concatenate((_ONE, -np.exp(terms - lse))))
-        order = bond_orders[pair]
-        idx, k = _order_terms(state, pair, order, n)
-        visible = orders[idx]
-        lse = T.logsumexp_array(visible)
-        out = out + (visible[k] - lse)
-        if taped:
-            o_idx.append(np.array(idx + [idx[k]], dtype=np.intp))
-            o_val.append(np.concatenate((-np.exp(visible - lse), _ONE)))
-        state.commit(pair, order)
+                soft[cols] = np.exp(terms - lse[:, None])
+        return out, soft
 
-    def backward(g):
-        return g, _scatter(edges, e_idx, e_val, g), _scatter(orders, o_idx, o_val, g)
+    def one_hot_minus_softmax(self, soft: np.ndarray, owner: np.ndarray,
+                              true_first: bool):
+        """(score index, value, sequence) of every step's one-hot minus
+        softmax, last step first and, within a step, the +1 of the true
+        term first (``true_first``) or last: the order in which the
+        per-step composition's backward adds them, so the sums round
+        alike."""
+        at = np.cumsum(self.size) - (self.size if true_first else 0)
+        idx = np.insert(self.idx, at, self.true)
+        val = np.insert(-soft, at, 1.0)
+        step = np.repeat(np.arange(self.size.size), self.size + 1)
+        last_first = np.argsort(-step, kind="stable")
+        return idx[last_first], val[last_first], owner[step[last_first]]
 
-    return T.custom_op("edge_sequence", (total, h.edges, h.orders), out, backward)
+
+@dataclass(frozen=True)
+class EdgePlan:
+    """The value-free half of scoring one edge sequence of one graph.
+
+    One walk of the mask state along the sequence, drawing any negatives,
+    fixes which flat scores every edge and bond-order softmax reads; the
+    scores themselves enter only in ``graph_logprob``.  A negative-sampled
+    edge step lists the true pair first; a step with no other candidate
+    is certain and has no entry.
+    """
+
+    edges: _Steps   # flat indices into Heads.edges
+    orders: _Steps  # flat indices into Heads.orders
+
+    @property
+    def length(self) -> int:
+        """Edge plus order steps."""
+        return self.edges.true.size + self.orders.true.size
 
 
-def graph_logprob(g: MolecularGraph, z: T.Tensor, edge_sequence,
-                  params: DecoderParams, partition: str = "exact", L: int = 10,
-                  mask_kind: str = "none", table: ValenceTable | None = None,
-                  rng: np.random.Generator | None = None) -> T.Tensor:
-    """Log-likelihood of a graph under one edge generation order.
+def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
+               L: int = 10, mask_kind: str = "none",
+               table: ValenceTable | None = None,
+               rng: np.random.Generator | None = None) -> EdgePlan:
+    """Walk the mask along ``edge_sequence``, the (u, v) pairs covering
+    g.bonds exactly once in the order the decoder is charged for them.
 
-    ``edge_sequence`` lists (u, v) pairs covering g.bonds exactly once, in
-    the order the decoder is charged for them.  The edge and bond-order
-    steps are one tape op, equal to the composition of ``edge_step_logprob``
-    and ``weight_step_logprob`` over the sequence.
+    The mask calls are those of ``edge_step_logprob`` and
+    ``weight_step_logprob`` in their order, so the same negatives are
+    drawn from ``rng``.
     """
     table = table or DEFAULT_TABLE
     seq = [(min(u, v), max(u, v)) for u, v in edge_sequence]
     bond_orders = {(u, v): o for u, v, o in g.bonds}
     if sorted(seq) != sorted(bond_orders):
         raise ValueError("edge_sequence must cover the graph's bonds exactly once")
+    n = g.n
+    state = make_state(mask_kind, atom_types=g.atom_types, table=table)
+    edges, orders = [], []
+    for pair in seq:
+        idx, offset = _edge_terms(state, pair, n, partition, L, rng)
+        if idx is not None:
+            edges.append((pair[0] * n + pair[1], idx,
+                          0.0 if offset is None else offset[1],
+                          len(edges) + len(orders)))
+        order = bond_orders[pair]
+        idx, k = _order_terms(state, pair, order, n)
+        orders.append((idx[k], idx, 0.0, len(edges) + len(orders)))
+        state.commit(pair, order)
+    return EdgePlan(_Steps.of(edges), _Steps.of(orders))
+
+
+def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
+    """Each plan's starting total plus every step it charges, one tape op.
+
+    Plan p scores graph p mod B of the B graphs of ``h`` and ``total``
+    (B = 1 and a scalar result for one graph).  The value adds each
+    step's score[true] - logsumexp(terms) to the running total as the
+    composition of ``edge_step_logprob`` and ``weight_step_logprob``
+    does, so it is bit-identical.  Under a tape the backward pass scatters
+    every step's one-hot minus softmax into one gradient array per score
+    array, each plan's in the composition's order, so a lone plan's
+    gradients are bit-identical too.  Untaped, nothing is kept for it.
+    """
+    graphs = total.data.size
+    slot = np.arange(len(plans)) % graphs
+    edges, orders = h.edges.data.reshape(-1), h.orders.data.reshape(-1)
+    taped = T.recording()
+    width = 1 + max(p.length for p in plans)
+    e, e_owner = _Steps.stack([p.edges for p in plans],
+                              slot * (edges.size // graphs), width)
+    o, o_owner = _Steps.stack([p.orders for p in plans],
+                              slot * (orders.size // graphs), width)
+    e_val, e_soft = e.logprobs(edges, taped)
+    o_val, o_soft = o.logprobs(orders, taped)
+    running = np.zeros((len(plans), width))
+    running[:, 0] = total.data.reshape(-1)[slot]
+    running.flat[e.at] = e_val
+    running.flat[o.at] = o_val
+    lengths = np.array([p.length for p in plans])
+    out = np.cumsum(running, axis=1)[np.arange(len(plans)), lengths]
+    if taped:
+        e_back = e.one_hot_minus_softmax(e_soft, e_owner, True)
+        o_back = o.one_hot_minus_softmax(o_soft, o_owner, False)
+    else:
+        e_back = o_back = (np.zeros(0, dtype=np.intp),) * 3
+
+    def backward(g):
+        g_plan = np.reshape(g, -1)
+
+        def scatter(back, like):
+            idx, val, seq = back
+            return np.bincount(idx, weights=g_plan[seq] * val,
+                               minlength=like.size).reshape(like.shape)
+
+        g_total = np.bincount(slot, weights=g_plan, minlength=graphs)
+        return (g_total.reshape(total.data.shape),
+                scatter(e_back, h.edges.data), scatter(o_back, h.orders.data))
+
+    return T.custom_op("edge_sequence", (total, h.edges, h.orders),
+                       out.reshape(-1 if total.data.ndim else ()), backward)
+
+
+def graph_logprob(g, z: T.Tensor, edge_sequence, params: DecoderParams,
+                  partition: str = "exact", L: int = 10,
+                  mask_kind: str = "none", table: ValenceTable | None = None,
+                  rng: np.random.Generator | None = None) -> T.Tensor:
+    """Log-likelihood of a graph under one edge generation order.
+
+    ``edge_sequence`` lists (u, v) pairs covering g.bonds exactly once, in
+    the order the decoder is charged for them; ``plan_edges`` walks it
+    under ``mask_kind``, drawing any negatives from ``rng``.  The edge and
+    bond-order steps are one tape op, equal to the composition of
+    ``edge_step_logprob`` and ``weight_step_logprob`` over the sequence.
+
+    For a GraphBatch of B graphs, ``z`` is B x n x D and ``edge_sequence``
+    holds EdgePlans already walked, plan p scoring graph p mod B; the
+    result has one value per plan, each bit-identical to scoring its graph
+    alone.  The walking arguments are then not used.
+    """
+    table = table or DEFAULT_TABLE
+    if isinstance(g, GraphBatch):
+        plans = list(edge_sequence)
+        if not plans or len(plans) % len(g):
+            raise ValueError(f"{len(plans)} plans do not cover a batch of"
+                             f" {len(g)} graphs equally")
+        bonds = np.array([len(gr.bonds) for gr in g])
+    else:
+        plans = [plan_edges(g, edge_sequence, partition, L, mask_kind, table, rng)]
+        bonds = len(g.bonds)
     h = heads(z, params)
     total = feature_logprob(g, h, table)
-    total = total + poisson_logpmf(len(seq), h.rate, h.log_rate)
-    state = make_state(mask_kind, atom_types=g.atom_types, table=table)
-    return _sequence_logprob(total, h, state, seq, bond_orders, partition, L, rng)
+    total = total + poisson_logpmf(bonds, h.rate, h.log_rate)
+    return _sequence_logprob(total, h, plans)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Aggregation accumulates neighbor vectors in ascending lexicographic order
 and every affine layer is the row-stable ``tensor.linear``, the one
 projection op, so relabeling the nodes permutes every intermediate
 bit-for-bit: posterior multisets are exactly invariant, not just up to
-float noise.
+float noise.  The same holds across a batch: graphs of one size stacked
+along a leading axis get, row for row, the values each gets alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable
+from .molgraph import DEFAULT_TABLE, GraphBatch, MolecularGraph, ValenceTable
 
 
 @dataclass
@@ -50,8 +51,8 @@ class EncoderParams:
 class Posterior:
     """Per-node diagonal Gaussian q(z_u) = N(mu[u], diag(sigma[u]^2))."""
 
-    mu: T.Tensor     # n x D
-    sigma: T.Tensor  # n x D
+    mu: T.Tensor     # n x D, or B x n x D for a batch
+    sigma: T.Tensor  # n x D, or B x n x D for a batch
 
 
 def init_encoder(rng: np.random.Generator, D: int, K: int,
@@ -76,64 +77,119 @@ def init_encoder(rng: np.random.Generator, D: int, K: int,
     )
 
 
-def features(g: MolecularGraph, params: EncoderParams,
+def _graphs(g) -> tuple[tuple[MolecularGraph, ...], tuple[int, ...]]:
+    """The graphs of ``g`` and the leading shape of their stacked arrays:
+    () for one MolecularGraph, (B,) for a GraphBatch of B."""
+    if isinstance(g, GraphBatch):
+        return tuple(g), (len(g),)
+    return (g,), ()
+
+
+def features(g, params: EncoderParams,
              table: ValenceTable | None = None) -> np.ndarray:
-    """One-hot atom types zero-padded to D columns (table order fixes slots)."""
+    """One-hot atom types zero-padded to D columns (table order fixes
+    slots), shape (n, D), or (B, n, D) for a GraphBatch."""
     table = table or DEFAULT_TABLE
     symbols = table.symbols
     if len(symbols) != params.n_types:
         raise ValueError("valence table alphabet does not match encoder n_types")
-    out = np.zeros((g.n, params.D))
-    for u, sym in enumerate(g.atom_types):
-        out[u, symbols.index(sym)] = 1.0
-    return out
+    graphs, lead = _graphs(g)
+    slots = [symbols.index(sym) for gr in graphs for sym in gr.atom_types]
+    out = np.zeros((len(slots), params.D))
+    out[np.arange(len(slots)), slots] = 1.0
+    return out.reshape(lead + (g.n, params.D))
 
 
-def _aggregate(c_prev: T.Tensor, adj) -> T.Tensor:
+class Neighbors:
+    """Bond-weighted neighbor entries of a batch's block-diagonal graph.
+
+    Node u of graph b is row b n + u.  Entry i says that row ``dst[i]``
+    receives ``weight[i]`` times row ``src[i]``; entries are grouped by
+    ``dst`` in ascending order, each group in adjacency-list order, and the
+    p-th entry of every group with more than p entries sits at
+    ``ranks[p][1]`` for the rows ``ranks[p][0]``.
+    """
+
+    def __init__(self, graphs):
+        n = graphs[0].n
+        dst, src, weight = [], [], []
+        for b, g in enumerate(graphs):
+            for u, v, order in g.bonds:
+                dst += (b * n + u, b * n + v)
+                src += (b * n + v, b * n + u)
+                weight += (order, order)
+        self.rows = len(graphs) * n
+        by_dst = np.lexsort((src, dst))
+        self.dst = np.asarray(dst, dtype=np.intp)[by_dst]
+        self.src = np.asarray(src, dtype=np.intp)[by_dst]
+        self.weight = np.asarray(weight, dtype=np.float64)[by_dst, None]
+        degree = np.bincount(self.dst, minlength=self.rows)
+        first = np.cumsum(degree) - degree
+        self.ranks = []
+        for p in range(degree.max(initial=0)):
+            rows = np.flatnonzero(degree > p)
+            self.ranks.append((rows, first[rows] + p))
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Each row's entries of ``values`` (one row per entry), added
+        one by one in entry order; zero for a row without entries."""
+        out = np.zeros((self.rows, values.shape[1]))
+        for p, (rows, at) in enumerate(self.ranks):
+            if p == 0:
+                out[rows] = values[at]
+            else:
+                out[rows] += values[at]
+        return out
+
+
+def _aggregate(c_prev: T.Tensor, nbrs: Neighbors) -> T.Tensor:
     """Sum of bond-weighted neighbor embeddings, accumulated canonically.
 
-    Rows are sorted lexicographically before summing, so any relabeling that
-    preserves the multiset of neighbor vectors produces the identical float
-    result.  Nodes without neighbors aggregate to the zero vector.
+    One op for a whole batch: each node's neighbor rows are sorted
+    lexicographically, then added in that order, so any relabeling that
+    preserves the multiset of neighbor vectors produces the identical
+    float result, whatever else the batch holds.  Nodes without neighbors
+    aggregate to the zero vector.
     """
-    cd = c_prev.data
-    n, D = cd.shape
-    out = np.zeros((n, D))
-    for u, nbrs in enumerate(adj):
-        if not nbrs:
-            continue
-        rows = np.stack([y * cd[v] for v, y in nbrs])
-        order = np.lexsort(rows[:, ::-1].T)
-        out[u] = rows[order].sum(axis=0)
+    shape = c_prev.data.shape
+    cd = c_prev.data.reshape(nbrs.rows, shape[-1])
+    rows = nbrs.weight * cd[nbrs.src]
+    canonical = np.lexsort(tuple(rows[:, ::-1].T) + (nbrs.dst,))
+    out = nbrs.sum(rows[canonical])
 
     def backward(g_out):
-        grad = np.zeros_like(cd)
-        for u, nbrs in enumerate(adj):
-            for v, y in nbrs:
-                grad[v] += y * g_out[u]
-        return (grad,)
+        # the adjacency is symmetric: row v gets weight times g_out[u] for
+        # every entry u -> v
+        g_rows = nbrs.weight * g_out.reshape(cd.shape)[nbrs.src]
+        return (nbrs.sum(g_rows).reshape(shape),)
 
-    return T.custom_op("aggregate", (c_prev,), out, backward)
+    return T.custom_op("aggregate", (c_prev,), out.reshape(shape), backward)
 
 
-def embed(g: MolecularGraph, params: EncoderParams,
+def embed(g, params: EncoderParams,
           table: ValenceTable | None = None) -> T.Tensor:
-    """Concatenated hop embeddings c(1) || ... || c(K), shape n x K*D."""
+    """Concatenated hop embeddings c(1) || ... || c(K), shape (n, K*D), or
+    (B, n, K*D) for a GraphBatch."""
     f = T.Tensor(features(g, params, table))
-    adj = g.adjacency()
+    nbrs = Neighbors(_graphs(g)[0])
     hops = []
     gated = T.linear(f, params.hops[0])
     hops.append(gated)
     prev = gated
     for k in range(1, params.K):
-        prev = T.mul(T.linear(f, params.hops[k]), _aggregate(prev, adj))
+        prev = T.mul(T.linear(f, params.hops[k]), _aggregate(prev, nbrs))
         hops.append(prev)
-    return T.concat(hops, axis=1) if len(hops) > 1 else hops[0]
+    return T.concat(hops, axis=-1) if len(hops) > 1 else hops[0]
 
 
-def posterior(g: MolecularGraph, params: EncoderParams,
+def posterior(g, params: EncoderParams,
               table: ValenceTable | None = None) -> Posterior:
-    """Per-node posterior moments; softplus keeps every sigma positive."""
+    """Per-node posterior moments; softplus keeps every sigma positive.
+
+    ``g`` is one graph, giving (n, D) moments, or a GraphBatch, giving
+    (B, n, D) moments in one stacked pass whose rows equal each graph's
+    own posterior bit for bit.
+    """
     if g.n < 1:
         raise ValueError("cannot encode an empty graph")
     code = embed(g, params, table)
@@ -146,9 +202,10 @@ def posterior(g: MolecularGraph, params: EncoderParams,
 def sample_latent(mu, sigma, rng: np.random.Generator):
     """Reparameterized draw Z = mu + sigma * eps with eps ~ N(0, I).
 
-    The one posterior draw: on Tensors (training) it records two tape ops,
-    a product and a sum, so gradients reach mu and sigma; on arrays (the
-    CLI, the BO decoder) it is plain numpy.  Either way it consumes
-    mu.shape standard normals from ``rng``.
+    On Tensors it records two tape ops, a product and a sum, so gradients
+    reach mu and sigma; on arrays (the CLI, the BO decoder) it is plain
+    numpy.  Either way it consumes mu.shape standard normals from ``rng``.
+    ``training.elbo`` applies the same formula to a batch, with each
+    graph's noise drawn in turn between its other random choices.
     """
     return mu + sigma * rng.standard_normal(mu.shape)

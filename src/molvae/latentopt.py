@@ -20,6 +20,8 @@ checked and stays inside a finite box.  The inner loops (``_fitc``,
 them goes straight to LAPACK through ``_solve_tri``.  Per fit, the
 inducing-point distances are computed once, and the factors of the
 optimizer's last evaluation are kept, not recomputed, when it ends there.
+SciPy is imported where it is used, so importing this module loads it
+only once a GP is fitted or an EI ascent runs.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
-from scipy.optimize import minimize
-from scipy.spatial.distance import pdist
-from scipy.special import erf
 
 from .decoder import sample_graph
 from .encoder import posterior, sample_latent
@@ -80,6 +78,13 @@ def _kernel_np(a, b, s2f, lengthscale):
     return s2f * np.exp(-0.5 * _sqdist(a, b) / lengthscale ** 2)
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _finite(name: str, a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
@@ -90,6 +95,8 @@ def _solve_tri(a, b, trans=0, lower=False, overwrite_b=False):
     """``scipy.linalg.solve_triangular`` for float64 without its input
     checks: the same LAPACK ``dtrtrs`` call with the same arguments, so
     the same bits.  Raises LinAlgError on a zero pivot."""
+    from scipy.linalg.lapack import dtrtrs
+
     if a.flags.f_contiguous:
         x, info = dtrtrs(a, b, overwrite_b=overwrite_b, lower=lower,
                          trans=trans)
@@ -225,6 +232,8 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
                                  f" positive, got {v}")
         iters = 0
     else:
+        from scipy.spatial.distance import pdist
+
         var_y = float(yc.var()) + 1e-8
         off = pdist(x, "sqeuclidean")
         median_sq = float(np.median(off)) if off.size else 1.0
@@ -315,6 +324,8 @@ def expected_improvement(mean, variance, best) -> np.ndarray:
 
 
 def _normal_pdf_cdf(z):
+    from scipy.special import erf
+
     return (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
             0.5 * (1.0 + erf(z / math.sqrt(2.0))))
 
@@ -364,41 +375,31 @@ def _min_cycle_basis_lengths(g: MolecularGraph) -> list[int]:
     edges = [(u, v) for u, v, _ in g.bonds]
     if not edges:
         return []
-    eidx = {e: i for i, e in enumerate(edges)}
-    adj = g.adjacency()
     dim = len(edges) - n + len(connected_components(g))
     if dim == 0:
         return []
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (neighbor, edge bit)
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, 1 << i))
+        adj[v].append((u, 1 << i))
 
     candidates = []
     for root in range(n):
-        dist = {root: 0}
-        parent = {root: None}
+        # path[v]: the edges of the BFS tree path from root to v, as a bitmask
+        path = {root: 0}
         queue = [root]
         while queue:
             nxt = []
             for u in queue:
-                for v, _ in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
+                for v, bit in adj[u]:
+                    if v not in path:
+                        path[v] = path[u] ^ bit
                         nxt.append(v)
             queue = nxt
-
-        def path_edges(t):
-            out = []
-            while parent[t] is not None:
-                p = parent[t]
-                out.append(eidx[(min(p, t), max(p, t))])
-                t = p
-            return out
-
-        for u, v in edges:
-            if u not in dist or v not in dist:
+        for i, (u, v) in enumerate(edges):
+            if u not in path or v not in path:
                 continue
-            mask = 0
-            for i in path_edges(u) + path_edges(v) + [eidx[(u, v)]]:
-                mask ^= 1 << i
+            mask = path[u] ^ path[v] ^ (1 << i)
             length = bin(mask).count("1")
             if length >= 3:
                 candidates.append((length, mask))

@@ -114,6 +114,26 @@ class MolecularGraph:
         return MolecularGraph(tuple(atoms), tuple(bonds))
 
 
+class GraphBatch(tuple):
+    """Graphs of one node count, encoded and scored as one stacked pass.
+
+    Every per-graph array of the pass gains a leading axis of length
+    len(batch); a lone MolecularGraph is the case with no such axis.
+    """
+
+    def __new__(cls, graphs):
+        graphs = tuple(graphs)
+        if not graphs:
+            raise ValueError("a batch needs at least one graph")
+        if len({g.n for g in graphs}) != 1:
+            raise ValueError("a batch holds graphs of one node count")
+        return super().__new__(cls, graphs)
+
+    @property
+    def n(self) -> int:
+        return self[0].n
+
+
 @dataclass
 class ValidityReport:
     valid: bool

@@ -207,16 +207,18 @@ def square(a: Tensor) -> Tensor:
 # matrix ops
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """Row-stable ``x @ w.T``, the one projection op: permuting the rows of
-    x permutes the output rows bit-for-bit, which the encoder's exact
-    permutation invariance rests on.  BLAS promises no such thing, and
-    einsum sums in an order set by the memory layout, so x is made
-    C-contiguous first."""
+    """Row-stable ``x @ w.T`` over the last axis of x, the one projection
+    op: each output row depends on its input row alone, bit-for-bit, so
+    permuting rows (the encoder's exact permutation invariance) or
+    stacking graphs along leading axes (a training batch) changes no
+    value.  BLAS promises no such thing, and einsum sums in an order set
+    by the memory layout, so x is made C-contiguous first."""
     xd, wd = np.ascontiguousarray(x.data), w.data
-    out = np.einsum("ij,kj->ik", xd, wd)
+    out = np.einsum("...j,kj->...k", xd, wd)
 
     def backward(g):
-        return g @ wd, g.T @ xd
+        rows = g.reshape(-1, wd.shape[0])
+        return g @ wd, rows.T @ xd.reshape(rows.shape[0], -1)
 
     return _emit("linear", out, (x, w), backward)
 

@@ -4,7 +4,8 @@ The objective for one graph is the reconstruction term under a sampled edge
 generation order, minus the closed-form Gaussian KL, plus the log-pmf of the
 node count under the sampler's zero-truncated Poisson law.  Edge orders come
 from breadth-first traversals with uniformly random tie-breaking, rooted at a
-node drawn from a configurable source distribution.  Training groups graphs by node count,
+node drawn from a configurable source distribution.  Training groups graphs
+by node count, evaluates each batch as one stacked pass on one tape,
 ascends the mean batch ELBO with Adam, and snapshots everything into a
 self-describing checkpoint file.
 """
@@ -22,10 +23,11 @@ import numpy as np
 
 from . import tensor as T
 from .decoder import (DecoderParams, graph_logprob, init_decoder,
-                      node_count_logpmf)
-from .encoder import EncoderParams, init_encoder, posterior, sample_latent
+                      node_count_logpmf, plan_edges)
+from .encoder import EncoderParams, init_encoder, posterior
 from .masks import MASK_KINDS
-from .molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable, is_integer
+from .molgraph import (DEFAULT_TABLE, GraphBatch, MolecularGraph, ValenceTable,
+                       is_integer)
 
 SOURCE_KINDS = ("uniform", "degree", "max_degree")
 PARTITION_MODES = ("exact", "negative_sampled")
@@ -180,37 +182,60 @@ def bfs_edge_order(g: MolecularGraph, source: int,
 # objective
 
 
+def _per_graph_sum(x: T.Tensor) -> T.Tensor:
+    """Sum over each graph's n x D block: one value, or one per graph of
+    a batch; as ``x.sum()`` on the block alone, so the rounding is too."""
+    return T.sum_axis(T.reshape(x, x.shape[:-2] + (-1,)), -1)
+
+
 def kl_term(post, D: int) -> T.Tensor:
-    """KL(q || standard normal), summed over nodes, in closed form."""
+    """KL(q || standard normal), summed over nodes, in closed form; one
+    value per graph for a batch posterior."""
     s2 = T.square(post.sigma)
     m2 = T.square(post.mu)
-    n = post.mu.data.shape[0]
-    total = T.sum_all(s2) + T.sum_all(m2) - T.sum_all(T.log(s2))
+    n = post.mu.shape[-2]
+    total = _per_graph_sum(s2) + _per_graph_sum(m2) - _per_graph_sum(T.log(s2))
     return 0.5 * (total - float(n * D))
 
 
-def elbo(g: MolecularGraph, model: ModelParams, hyper: Hyperparams,
+def elbo(g, model: ModelParams, hyper: Hyperparams,
          rng: np.random.Generator) -> T.Tensor:
-    """Single-sample evidence lower bound for one graph.
+    """Single-sample evidence lower bound of one graph, or of each graph of
+    a GraphBatch in one stacked pass.
 
-    One reparameterized latent draw, S sampled edge orders, the closed-form
-    KL, and the node-count term.  Every random choice (latent noise, source
-    node, BFS ties, negative samples) comes from ``rng`` in a fixed order,
-    so a fixed generator state fixes the value.
+    One reparameterized latent draw per graph, S sampled edge orders, the
+    closed-form KL, and the node-count term.  Every random choice (latent
+    noise, source node, BFS ties, negative samples) comes from ``rng`` in
+    a fixed order, graph after graph, before any score is computed, so a
+    fixed generator state fixes the value, and graph b of a batch gets
+    the value a lone ``elbo`` gives it from the state the batch reached
+    at b, bit for bit.  A lone graph is the batch of one; the result is a
+    scalar for a graph and one value per graph for a batch.
     """
-    post = posterior(g, model.encoder, model.table)
-    z = sample_latent(post.mu, post.sigma, rng)
-    recon = None
-    for _ in range(hyper.S):
-        src = sample_source(g, hyper.source_kind, rng)
-        seq = bfs_edge_order(g, src, rng, hyper.source_kind)
-        lp = graph_logprob(g, z, seq, model.decoder,
-                           partition=hyper.partition, L=hyper.L,
-                           mask_kind=hyper.mask_kind, table=model.table,
-                           rng=rng)
-        recon = lp if recon is None else recon + lp
+    batch = g if isinstance(g, GraphBatch) else GraphBatch([g])
+    post = posterior(batch, model.encoder, model.table)
+    noise = []
+    plans: list[list] = [[] for _ in range(hyper.S)]
+    for graph in batch:
+        noise.append(rng.standard_normal((graph.n, hyper.D)))
+        for s in range(hyper.S):
+            src = sample_source(graph, hyper.source_kind, rng)
+            seq = bfs_edge_order(graph, src, rng, hyper.source_kind)
+            plans[s].append(plan_edges(graph, seq, hyper.partition, hyper.L,
+                                       hyper.mask_kind, model.table, rng))
+    z = post.mu + post.sigma * np.stack(noise)
+    # the plans were walked under hyper.partition; passing it only labels
+    # the call (perfbench's trace buckets graph_logprob by partition)
+    lp = graph_logprob(batch, z, [p for row in plans for p in row],
+                       model.decoder, partition=hyper.partition,
+                       table=model.table)
+    lp = T.reshape(lp, (hyper.S, len(batch)))
+    recon = T.gather_rows(lp, 0)
+    for s in range(1, hyper.S):
+        recon = recon + T.gather_rows(lp, s)
     recon = recon * (1.0 / hyper.S)
-    return recon - kl_term(post, hyper.D) + node_count_logpmf(g.n, model.lambda_n)
+    value = recon - kl_term(post, hyper.D) + node_count_logpmf(batch.n, model.lambda_n)
+    return value if batch is g else T.reshape(value, ())
 
 
 def fit_lambda_n(corpus) -> float:
@@ -243,7 +268,7 @@ def fit_lambda_n(corpus) -> float:
 # optimization loop
 
 
-def make_batches(corpus, batch_size: int) -> list[list[MolecularGraph]]:
+def make_batches(corpus, batch_size: int) -> list[GraphBatch]:
     """Partition the corpus into batches of uniform node count."""
     groups: dict[int, list[MolecularGraph]] = {}
     for g in corpus:
@@ -252,7 +277,7 @@ def make_batches(corpus, batch_size: int) -> list[list[MolecularGraph]]:
     for n in sorted(groups):
         graphs = groups[n]
         for i in range(0, len(graphs), batch_size):
-            batches.append(graphs[i:i + batch_size])
+            batches.append(GraphBatch(graphs[i:i + batch_size]))
     return batches
 
 
@@ -260,12 +285,15 @@ def train(corpus, hyper: Hyperparams, table: ValenceTable | None = None,
           log_fn=None) -> Checkpoint:
     """Adam-ascend the mean batch ELBO; returns the final checkpoint.
 
-    Each iteration draws one uniform-size batch, accumulates per-graph
-    gradients in corpus order, and takes one step.  ``log_fn`` (if given)
-    receives a record per iteration with the iteration index, mean batch
-    ELBO, batch node count, wall-clock seconds, and a reference to the live
-    model; everything except the wall time is deterministic under a fixed
-    seed.  Numeric failures abort with the iteration index attached.
+    Each iteration draws one uniform-size batch, evaluates ``elbo`` on the
+    whole batch as one tape (its per-graph values are those of graph-by-
+    graph evaluation, bit for bit), takes the gradient of their sum in one
+    backward pass, and takes one step along its mean.  ``log_fn`` (if
+    given) receives a record per iteration with the iteration index, mean
+    batch ELBO, batch node count, wall-clock seconds, and a reference to
+    the live model; everything except the wall time is deterministic
+    under a fixed seed.  Numeric failures abort with the iteration index
+    attached.
     """
     if not corpus:
         raise ValueError("cannot train on an empty corpus")
@@ -279,23 +307,21 @@ def train(corpus, hyper: Hyperparams, table: ValenceTable | None = None,
     for it in range(hyper.iterations):
         batch = batches[int(rng.integers(len(batches)))]
         total = 0.0
-        grad_acc = [np.zeros_like(p.data) for p in params]
         try:
-            for g in batch:
-                with T.Tape() as tape:
-                    val = elbo(g, model, hyper, rng)
-                grads = tape.gradients(val, params)
-                total += val.item()
-                for acc, gr in zip(grad_acc, grads):
-                    acc += gr
+            with T.Tape() as tape:
+                values = elbo(batch, model, hyper, rng)
+                loss = T.sum_all(values)
+            grads = tape.gradients(loss, params)
+            for v in values.data.tolist():
+                total += v
             scale = 1.0 / len(batch)
-            T.adam_step(adam, [gr * scale for gr in grad_acc])
+            T.adam_step(adam, [gr * scale for gr in grads])
         except (FloatingPointError, ZeroDivisionError, ValueError) as exc:
             raise type(exc)(f"iteration {it}: {exc}") from exc
         if log_fn is not None:
             # "model" is the live object, not a copy; snapshot inside log_fn
             log_fn({"iteration": it, "elbo": total / len(batch),
-                    "batch_n": batch[0].n, "batch_size": len(batch),
+                    "batch_n": batch.n, "batch_size": len(batch),
                     "seconds": time.perf_counter() - t0, "model": model})
     return Checkpoint(model, hyper, hyper.iterations)
 

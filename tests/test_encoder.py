@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molvae import encoder as E
 from molvae import tensor as T
-from molvae.molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable
+from molvae.molgraph import DEFAULT_TABLE, GraphBatch, MolecularGraph, ValenceTable
 
 
 def _params(rng, D=5, K=3, n_types=4):
@@ -142,3 +144,51 @@ def test_alphabet_size_mismatch_raises():
     g = MolecularGraph(("C",))
     with pytest.raises(ValueError):
         E.posterior(g, params, ValenceTable({"C": 4}))
+
+
+def _aggregate_one_graph(cd, adj, g_out):
+    """The per-graph aggregation and its backward pass: each node's
+    bond-weighted neighbor rows sorted lexicographically, then summed;
+    gradients scattered node by node."""
+    out = np.zeros_like(cd)
+    for u, nbrs in enumerate(adj):
+        if nbrs:
+            rows = np.stack([y * cd[v] for v, y in nbrs])
+            out[u] = rows[np.lexsort(rows[:, ::-1].T)].sum(axis=0)
+    grad = np.zeros_like(cd)
+    for u, nbrs in enumerate(adj):
+        for v, y in nbrs:
+            grad[v] += y * g_out[u]
+    return out, grad
+
+
+@st.composite
+def _batches(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graphs = []
+    for _ in range(draw(st.integers(1, 4))):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        bonds = tuple((u, v, draw(st.integers(1, 3))) for u, v in chosen)
+        graphs.append(MolecularGraph(("C",) * n, bonds))
+    # few distinct values, so neighbor rows often tie in the sort
+    values = draw(st.lists(st.sampled_from([-1.5, -0.25, 0.0, 0.1, 0.3, 2.0]),
+                           min_size=len(graphs) * n * 3,
+                           max_size=len(graphs) * n * 3))
+    return GraphBatch(graphs), np.array(values).reshape(len(graphs), n, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batches())
+def test_block_diagonal_aggregate_equals_per_graph_op(case):
+    batch, cd = case
+    g_out = cd[:, ::-1] * 0.7 + 0.1
+    c = T.Tensor(cd)
+    with T.Tape() as tape:
+        out = E._aggregate(c, E.Neighbors(batch))
+        loss = T.sum_all(T.mul(out, T.Tensor(g_out)))
+    (grad,) = tape.gradients(loss, [c])  # the aggregate's backward of g_out
+    for b, g in enumerate(batch):
+        want, want_grad = _aggregate_one_graph(cd[b], g.adjacency(), g_out[b])
+        assert np.array_equal(out.data[b], want)
+        assert np.array_equal(grad[b], want_grad)

@@ -1,7 +1,11 @@
 """Sparse GP, expected improvement, and the BO loop."""
 
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,8 @@ from molvae.latentopt import (JITTERS, BOResult, _fitc,
                               expected_improvement, make_molecule_decoder,
                               molecule_embedding,
                               proxy_property, sgp_fit, sgp_loglik, sgp_predict)
-from molvae.molgraph import DEFAULT_TABLE, MolecularGraph, random_molecule
+from molvae.molgraph import (DEFAULT_TABLE, MolecularGraph, connected_components,
+                             random_molecule)
 from molvae.training import Hyperparams, init_model
 
 
@@ -279,6 +284,9 @@ def test_sgp_fit_does_not_refactorize_at_the_optimum(monkeypatch, fail_at):
 def test_sgp_duplicate_rows_survive_via_jitter():
     x, y = _duplicate_rows()               # kernel matrix is singular
     model = sgp_fit(x, y, n_inducing=20, seed=0, hypers=(1.0, 1.0, 1e-9))
+    # the first rung already holds; the climb to later rungs is covered by
+    # the injected failure in test_sgp_fit_does_not_refactorize_at_the_optimum
+    assert model.jitter == JITTERS[0]
     mean, var = sgp_predict(model, x[:10])
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
 
@@ -727,6 +735,88 @@ def test_proxy_property_invalid_raises():
     # matches the masked decoder's guarantee, not the stricter metrics one
     disconnected = MolecularGraph(("C", "C", "C"), [(0, 1, 1)])
     assert proxy_property(disconnected, lambda_n=3.0) == pytest.approx(2.0 / 3.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    """SciPy loads only once a GP is fitted or an EI ascent runs."""
+    src = str(Path(latentopt.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, molvae.latentopt;"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def _horton_lengths_by_path_walks(g):
+    """Minimum cycle basis lengths with each candidate's tree paths walked
+    parent by parent: the bitmask algorithm's reference."""
+    n = g.n
+    edges = [(u, v) for u, v, _ in g.bonds]
+    eidx = {e: i for i, e in enumerate(edges)}
+    adj = g.adjacency()
+    dim = len(edges) - n + len(connected_components(g))
+    if not edges or dim == 0:
+        return []
+    candidates = []
+    for root in range(n):
+        dist, parent, queue = {root: 0}, {root: None}, [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v, _ in adj[u]:
+                    if v not in dist:
+                        dist[v], parent[v] = dist[u] + 1, u
+                        nxt.append(v)
+            queue = nxt
+
+        def path_edges(t):
+            out = []
+            while parent[t] is not None:
+                p = parent[t]
+                out.append(eidx[(min(p, t), max(p, t))])
+                t = p
+            return out
+
+        for u, v in edges:
+            if u in dist and v in dist:
+                mask = 0
+                for i in path_edges(u) + path_edges(v) + [eidx[(u, v)]]:
+                    mask ^= 1 << i
+                if bin(mask).count("1") >= 3:
+                    candidates.append((bin(mask).count("1"), mask))
+    candidates.sort(key=lambda c: c[0])
+    basis, lengths = [], []
+    for length, mask in candidates:
+        for b in basis:
+            mask = min(mask, mask ^ b)
+        if mask:
+            basis.append(mask)
+            lengths.append(length)
+            if len(basis) == dim:
+                break
+    return sorted(lengths)
+
+
+def test_min_cycle_basis_lengths_match_path_walks():
+    rng = np.random.default_rng(18)
+    cyclic = 0
+    for _ in range(400):
+        n = int(rng.integers(3, 15))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        # a sparse random tree plus up to n chords: many fused rings, some
+        # graphs disconnected where a tree edge is dropped
+        bonds = {(int(rng.integers(v)), v) for v in range(1, n)
+                 if rng.random() < 0.9}
+        for i in rng.choice(len(pairs), size=int(rng.integers(0, n + 1)),
+                            replace=False):
+            bonds.add(pairs[i])
+        g = MolecularGraph(("C",) * n, [(u, v, 1) for u, v in bonds])
+        want = _horton_lengths_by_path_walks(g)
+        assert _min_cycle_basis_lengths(g) == want
+        cyclic += bool(want)
+    assert cyclic > 250
 
 
 def test_min_cycle_basis_lengths():

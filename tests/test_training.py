@@ -12,7 +12,8 @@ from molvae import tensor as T
 from molvae import training
 from molvae.decoder import graph_logprob, node_count_logpmf, sample_graph
 from molvae.encoder import Posterior
-from molvae.molgraph import DEFAULT_TABLE, MolecularGraph, ValenceTable, random_molecule
+from molvae.molgraph import (DEFAULT_TABLE, GraphBatch, MolecularGraph, ValenceTable,
+                             random_molecule)
 from molvae.training import (Checkpoint, Hyperparams, ModelParams, bfs_edge_order,
                              elbo, fit_lambda_n, init_model, kl_term,
                              load_checkpoint, make_batches, sample_source,
@@ -194,6 +195,77 @@ def test_elbo_statistically_invariant_under_relabeling():
     mean = float(np.mean(diffs))
     se = float(np.std(diffs)) / math.sqrt(len(diffs))
     assert abs(mean) < 3.0 * se + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one stacked pass per same-size batch
+
+
+def _batch_of(n, count, seed):
+    """``count`` triangle-free random molecules of exactly n atoms, so
+    every mask kind accepts their bonds."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        g = random_molecule(rng, n)
+        adj = [set(v for v, _ in nbrs) for nbrs in g.adjacency()]
+        if g.n == n and not any(adj[u] & adj[v] for u, v, _ in g.bonds):
+            out.append(g)
+    return GraphBatch(out)
+
+
+@pytest.mark.parametrize("S", [1, 2])
+@pytest.mark.parametrize("partition", ["exact", "negative_sampled"])
+@pytest.mark.parametrize("mask_kind", ["none", "valence", "triangle_free"])
+def test_batch_elbo_equals_graph_by_graph(mask_kind, partition, S):
+    hyper = _tiny_hyper(mask_kind=mask_kind, partition=partition, S=S, L=2,
+                        D=5, K=3)
+    model = init_model(np.random.default_rng(3), hyper, lambda_n=6.0)
+    batch = _batch_of(7, 5, seed=4)
+    batch_rng, lone_rng = np.random.default_rng(5), np.random.default_rng(5)
+    values = elbo(batch, model, hyper, batch_rng)
+    lone = [elbo(g, model, hyper, lone_rng) for g in batch]
+    assert values.shape == (len(batch),)
+    # graph b sees the generator state graph-by-graph scoring reaches at b
+    assert values.data.tolist() == [v.item() for v in lone]
+    assert batch_rng.random() == lone_rng.random()
+
+
+@pytest.mark.parametrize("partition", ["exact", "negative_sampled"])
+def test_batch_gradient_is_the_sum_of_graph_gradients(partition):
+    hyper = _tiny_hyper(partition=partition, S=2, L=2, D=5, K=3)
+    model = init_model(np.random.default_rng(6), hyper, lambda_n=6.0)
+    params = [t for _, t in model.tensors()]
+    batch = _batch_of(6, 4, seed=7)
+    weights = np.array([1.0, -0.5, 2.0, 0.25])  # each graph's own weight
+    with T.Tape() as tape:
+        values = elbo(batch, model, hyper, np.random.default_rng(8))
+        loss = T.sum_all(values * weights)
+    together = tape.gradients(loss, params)
+    rng = np.random.default_rng(8)
+    apart = [np.zeros_like(p.data) for p in params]
+    for g, w in zip(batch, weights):
+        with T.Tape() as tape:
+            value = elbo(g, model, hyper, rng)
+        for acc, grad in zip(apart, tape.gradients(value, params)):
+            acc += w * grad
+    for a, b in zip(together, apart):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def test_train_takes_one_backward_pass_per_iteration(monkeypatch):
+    calls = []
+    gradients = T.Tape.gradients
+
+    def counting(tape, loss, params):
+        calls.append(loss.shape)
+        return gradients(tape, loss, params)
+
+    monkeypatch.setattr(T.Tape, "gradients", counting)
+    rng = np.random.default_rng(9)
+    corpus = [random_molecule(rng, 5 + i % 3) for i in range(30)]
+    train(corpus, _tiny_hyper(iterations=4, batch_size=8))
+    assert calls == [()] * 4
 
 
 def _softplus_np(x):
