@@ -26,6 +26,9 @@ import numpy as np
 
 from .decoder import sample_graph
 from .encoder import posterior, sample_latent
+from .latentopt import (EI_STARTS, bo_loop, make_molecule_decoder,
+                        molecule_embedding, proxy_property, sgp_loglik,
+                        sgp_predict)
 from .molgraph import (DEFAULT_TABLE, MolecularGraph, compute_metrics,
                        graph_to_obj, parse_corpus, random_molecule, to_dot,
                        valence_ok, write_corpus, write_jsonl)
@@ -412,11 +415,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bo(args) -> int:
-    # imported here so the other subcommands start without SciPy
-    from .latentopt import (bo_loop, make_molecule_decoder,
-                            molecule_embedding, proxy_property, sgp_loglik,
-                            sgp_predict)
-
     ckpt = _load_checkpoint(args)
     corpus = _load_corpus(args)
     if len(corpus) < 3:
@@ -553,7 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--iters", type=int, default=5)
-    sp.add_argument("--batch-size", type=int, default=50)
+    sp.add_argument("--batch-size", type=int, default=50,
+                    help="proposals decoded per iteration: at most"
+                         f" {EI_STARTS} from EI ascents, the rest uniform"
+                         " draws in the data's box widened by half its span")
     sp.add_argument("--inducing", type=int, default=100)
     sp.add_argument("--test-fraction", type=float, default=0.1)
     return parser

@@ -9,14 +9,15 @@ training (exact or negative-sampled edge partitions) and untaped scoring.
 Every head is defined once, in ``heads``, and evaluated once per graph:
 the edge and bond-order heads are linear in z_u + z_v, so one projection
 per node scores every pair.  Scoring an edge sequence has two halves.
-``plan_edges`` walks the mask state step by step and records which scores
-each step's softmax reads; it needs no score, so a training batch plans
-every sequence before any value is computed.  Then one tape op scores
-every planned sequence of a batch over the stacked score arrays, and its
+``plan_edges`` walks the mask state step by step and records, in one step
+table, which scores each edge and bond-order softmax reads; it needs no
+score, so a training batch plans every sequence before any value is
+computed.  Then one tape op scores every planned sequence of a batch over
+one score vector per graph (edge scores, then order scores), and its
 backward pass scatters every step's one-hot minus softmax into one
-gradient array per score array.  Each sequence's value equals the
-composition of the per-step ``edge_step_logprob`` and
-``weight_step_logprob``.  The sampler reads the same scores untaped.
+gradient array.  Each sequence's value equals the composition of the
+per-step ``edge_step_logprob`` and ``weight_step_logprob``.  The sampler
+reads the same scores untaped.
 
 Sampling with a mask state guarantees the masked property by construction:
 masked pairs and orders are never proposed, a pair with no allowed order is
@@ -249,46 +250,51 @@ def weight_step_logprob(h: Heads, state: MaskState, pair, order: int) -> T.Tenso
 
 
 @dataclass(frozen=True)
-class _Steps:
-    """Softmax steps of one kind, in step order.
+class EdgePlan:
+    """The value-free half of scoring one edge sequence of one graph: its
+    edge and bond-order softmax steps, in sequence order.
 
-    Step i charges flat score ``true[i]`` against the ``size[i]`` terms at
-    the next ``size[i]`` entries of ``idx``; ``offset[i]`` is added to
-    every term but the first (negative sampling's log(pool / negatives),
-    0.0 for an exact partition), and ``at[i]`` is the step's position
-    among all steps of its sequence.
+    One walk of the mask state along the sequence, drawing any negatives,
+    fixes which scores every step reads; the scores themselves enter only
+    in ``graph_logprob``.  Indices address the graph's score vector,
+    ``Heads.edges`` followed by ``Heads.orders`` (an order score at n^2
+    plus its ``Heads.orders`` index).  Step i charges score ``true[i]``
+    against the ``size[i]`` terms at the next ``size[i]`` entries of
+    ``idx``; ``offset[i]`` is added to every term but the first (negative
+    sampling's log(pool / negatives), else 0.0), and ``edge[i]`` tells an
+    edge step from an order step.  A negative-sampled edge step lists the
+    true pair first; a step with no other candidate is certain and has no
+    entry.
     """
 
     true: np.ndarray
     size: np.ndarray
     idx: np.ndarray
     offset: np.ndarray
-    at: np.ndarray
+    edge: np.ndarray
 
     @classmethod
-    def of(cls, steps) -> "_Steps":
-        """From (true, term indices, offset, position) tuples."""
-        true, idx, offset, at = zip(*steps) if steps else ((),) * 4
+    def of(cls, steps) -> "EdgePlan":
+        """From (true, term indices, offset, is edge) tuples."""
+        true, idx, offset, edge = zip(*steps) if steps else ((),) * 4
         return cls(np.array(true, dtype=np.intp),
                    np.array([len(i) for i in idx], dtype=np.intp),
                    np.fromiter((t for i in idx for t in i), dtype=np.intp),
                    np.array(offset, dtype=np.float64),
-                   np.array(at, dtype=np.intp))
+                   np.array(edge, dtype=bool))
 
     @staticmethod
-    def stack(parts, bases: np.ndarray, width: int):
-        """The steps of every sequence, the indices of sequence p shifted by
-        ``bases[p]`` and its positions to row p of a ``width``-column step
-        table whose column 0 holds the sequence's starting total; with the
-        sequence each step belongs to."""
-        owner = np.repeat(np.arange(len(parts)), [s.true.size for s in parts])
-        terms = np.repeat(bases, [s.idx.size for s in parts])
-        steps = _Steps(
-            np.concatenate([s.true for s in parts]) + bases[owner],
-            np.concatenate([s.size for s in parts]),
-            np.concatenate([s.idx for s in parts]) + terms,
-            np.concatenate([s.offset for s in parts]),
-            np.concatenate([s.at for s in parts]) + owner * width + 1)
+    def stack(plans, bases: np.ndarray):
+        """The steps of every plan, the indices of plan p shifted by
+        ``bases[p]``; with the plan each step belongs to."""
+        owner = np.repeat(np.arange(len(plans)), [p.true.size for p in plans])
+        terms = np.repeat(bases, [p.idx.size for p in plans])
+        steps = EdgePlan(
+            np.concatenate([p.true for p in plans]) + bases[owner],
+            np.concatenate([p.size for p in plans]),
+            np.concatenate([p.idx for p in plans]) + terms,
+            np.concatenate([p.offset for p in plans]),
+            np.concatenate([p.edge for p in plans]))
         return steps, owner
 
     def logprobs(self, scores: np.ndarray, taped: bool):
@@ -313,39 +319,18 @@ class _Steps:
                 soft[cols] = np.exp(terms - lse[:, None])
         return out, soft
 
-    def one_hot_minus_softmax(self, soft: np.ndarray, owner: np.ndarray,
-                              true_first: bool):
-        """(score index, value, sequence) of every step's one-hot minus
+    def one_hot_minus_softmax(self, soft: np.ndarray, owner: np.ndarray):
+        """(score index, value, plan) of every step's one-hot minus
         softmax, last step first and, within a step, the +1 of the true
-        term first (``true_first``) or last: the order in which the
-        per-step composition's backward adds them, so the sums round
-        alike."""
-        at = np.cumsum(self.size) - (self.size if true_first else 0)
+        term first for an edge step and last for an order step: the order
+        in which the per-step composition's backward adds them, so the
+        sums round alike."""
+        at = np.cumsum(self.size) - np.where(self.edge, self.size, 0)
         idx = np.insert(self.idx, at, self.true)
         val = np.insert(-soft, at, 1.0)
         step = np.repeat(np.arange(self.size.size), self.size + 1)
         last_first = np.argsort(-step, kind="stable")
         return idx[last_first], val[last_first], owner[step[last_first]]
-
-
-@dataclass(frozen=True)
-class EdgePlan:
-    """The value-free half of scoring one edge sequence of one graph.
-
-    One walk of the mask state along the sequence, drawing any negatives,
-    fixes which flat scores every edge and bond-order softmax reads; the
-    scores themselves enter only in ``graph_logprob``.  A negative-sampled
-    edge step lists the true pair first; a step with no other candidate
-    is certain and has no entry.
-    """
-
-    edges: _Steps   # flat indices into Heads.edges
-    orders: _Steps  # flat indices into Heads.orders
-
-    @property
-    def length(self) -> int:
-        """Edge plus order steps."""
-        return self.edges.true.size + self.orders.true.size
 
 
 def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
@@ -366,66 +351,59 @@ def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
         raise ValueError("edge_sequence must cover the graph's bonds exactly once")
     n = g.n
     state = make_state(mask_kind, atom_types=g.atom_types, table=table)
-    edges, orders = [], []
+    steps = []
     for pair in seq:
         idx, offset = _edge_terms(state, pair, n, partition, L, rng)
         if idx is not None:
-            edges.append((pair[0] * n + pair[1], idx,
-                          0.0 if offset is None else offset[1],
-                          len(edges) + len(orders)))
+            steps.append((pair[0] * n + pair[1], idx,
+                          0.0 if offset is None else offset[1], True))
         order = bond_orders[pair]
         idx, k = _order_terms(state, pair, order, n)
-        orders.append((idx[k], idx, 0.0, len(edges) + len(orders)))
+        idx = [n * n + i for i in idx]
+        steps.append((idx[k], idx, 0.0, False))
         state.commit(pair, order)
-    return EdgePlan(_Steps.of(edges), _Steps.of(orders))
+    return EdgePlan.of(steps)
 
 
 def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
     """Each plan's starting total plus every step it charges, one tape op.
 
     Plan p scores graph p mod B of the B graphs of ``h`` and ``total``
-    (B = 1 and a scalar result for one graph).  The value adds each
-    step's score[true] - logsumexp(terms) to the running total as the
-    composition of ``edge_step_logprob`` and ``weight_step_logprob``
-    does, so it is bit-identical.  Under a tape the backward pass scatters
-    every step's one-hot minus softmax into one gradient array per score
-    array, each plan's in the composition's order, so a lone plan's
-    gradients are bit-identical too.  Untaped, nothing is kept for it.
+    (B = 1 and a scalar result for one graph), over the graphs' score
+    vectors concatenated.  The value adds each step's score[true] -
+    logsumexp(terms) to the running total as the composition of
+    ``edge_step_logprob`` and ``weight_step_logprob`` does, so it is
+    bit-identical.  Under a tape the backward pass scatters every step's
+    one-hot minus softmax into one gradient array, each plan's in the
+    composition's order, so a lone plan's gradients are bit-identical
+    too.  Untaped, nothing is kept for it.
     """
     graphs = total.data.size
     slot = np.arange(len(plans)) % graphs
-    edges, orders = h.edges.data.reshape(-1), h.orders.data.reshape(-1)
+    n2 = h.edges.shape[-1]
+    scores = np.concatenate((h.edges.data.reshape(graphs, -1),
+                             h.orders.data.reshape(graphs, -1)), axis=1).reshape(-1)
+    per_graph = scores.size // graphs
     taped = T.recording()
-    width = 1 + max(p.length for p in plans)
-    e, e_owner = _Steps.stack([p.edges for p in plans],
-                              slot * (edges.size // graphs), width)
-    o, o_owner = _Steps.stack([p.orders for p in plans],
-                              slot * (orders.size // graphs), width)
-    e_val, e_soft = e.logprobs(edges, taped)
-    o_val, o_soft = o.logprobs(orders, taped)
-    running = np.zeros((len(plans), width))
+    steps, owner = EdgePlan.stack(plans, slot * per_graph)
+    logp, soft = steps.logprobs(scores, taped)
+    lengths = np.array([p.true.size for p in plans])
+    running = np.zeros((len(plans), 1 + lengths.max()))
     running[:, 0] = total.data.reshape(-1)[slot]
-    running.flat[e.at] = e_val
-    running.flat[o.at] = o_val
-    lengths = np.array([p.length for p in plans])
+    running[:, 1:][np.arange(running.shape[1] - 1) < lengths[:, None]] = logp
     out = np.cumsum(running, axis=1)[np.arange(len(plans)), lengths]
-    if taped:
-        e_back = e.one_hot_minus_softmax(e_soft, e_owner, True)
-        o_back = o.one_hot_minus_softmax(o_soft, o_owner, False)
-    else:
-        e_back = o_back = (np.zeros(0, dtype=np.intp),) * 3
+    back = (steps.one_hot_minus_softmax(soft, owner) if taped
+            else (np.zeros(0, dtype=np.intp),) * 3)
 
     def backward(g):
+        idx, val, seq = back
         g_plan = np.reshape(g, -1)
-
-        def scatter(back, like):
-            idx, val, seq = back
-            return np.bincount(idx, weights=g_plan[seq] * val,
-                               minlength=like.size).reshape(like.shape)
-
         g_total = np.bincount(slot, weights=g_plan, minlength=graphs)
+        g_scores = np.bincount(idx, weights=g_plan[seq] * val,
+                               minlength=graphs * per_graph).reshape(graphs, -1)
         return (g_total.reshape(total.data.shape),
-                scatter(e_back, h.edges.data), scatter(o_back, h.orders.data))
+                g_scores[:, :n2].reshape(h.edges.shape),
+                g_scores[:, n2:].reshape(h.orders.shape))
 
     return T.custom_op("edge_sequence", (total, h.edges, h.orders),
                        out.reshape(-1 if total.data.ndim else ()), backward)

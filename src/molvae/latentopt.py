@@ -40,6 +40,7 @@ from .molgraph import (CERTIFICATE_LIMIT, DEFAULT_TABLE, MolecularGraph,
 
 JITTERS = (1e-10, 1e-8, 1e-6)  # K_uu's added diagonal, in units of s2f
 HYPER_BOX = 5.0  # half-width of the log-hyperparameter search box
+EI_STARTS = 8  # EI ascents per BO iteration; uniform draws fill the batch
 
 
 def molecule_embedding(post) -> np.ndarray:
@@ -450,13 +451,14 @@ class BOResult:
     initial_model: SGPModel | None  # iteration 0's GP, fitted to the inputs alone
 
 
-def _propose_by_ei(model: SGPModel, x, best, count, rng, n_starts=8):
+def _propose_by_ei(model: SGPModel, x, best, count, rng):
     """``count`` distinct proposals and the largest EI found.
 
     L-BFGS-B ascends EI on its exact gradient (``_neg_ei``) from the
-    ``n_starts`` best points of a random pool plus the training rows,
-    inside the data's bounding box widened by half its span.  Random
-    points fill the batch when the ascents collapse onto fewer optima.
+    ``EI_STARTS`` best points of a random pool plus the training rows,
+    inside the data's bounding box widened by half its span.  So at most
+    ``EI_STARTS`` proposals are distinct ascent optima; uniform draws in
+    the same box fill the rest of the batch.
     """
     lo = x.min(axis=0)
     hi = x.max(axis=0)
@@ -467,7 +469,7 @@ def _propose_by_ei(model: SGPModel, x, best, count, rng, n_starts=8):
     pool = rng.uniform(lo, hi, size=(max(64, 16 * x.shape[1]), x.shape[1]))
     pool = np.vstack([pool, x])  # training rows seed ascent near the data
     ei_pool = expected_improvement(*sgp_predict(model, pool), best)
-    starts = pool[np.argsort(-ei_pool)[:n_starts]]
+    starts = pool[np.argsort(-ei_pool)[:EI_STARTS]]
     found = []
     for s in starts:
         res = minimize(_neg_ei, s, args=(model, best), jac=True,
@@ -500,13 +502,15 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
     """Batch BO over embedding space with a pluggable decode step.
 
     Each iteration fits the sparse GP to everything observed so far,
-    proposes ``batch`` embeddings by EI ascent (random multistart plus
-    local refinement), decodes each to a molecule, and scores the valid
-    ones with the oracle.  Decode failures (None) and invalid decodes are
-    recorded, never scored.  The result ranks unique valid molecules by
-    score, best first.  ``history`` records each iteration's fitted GP
-    and largest EI; ``seconds`` its wall times, kept apart because they
-    differ between otherwise identical runs.  ``initial_model`` is the GP
+    proposes ``batch`` embeddings, decodes each to a molecule, and scores
+    the valid ones with the oracle.  At most ``EI_STARTS`` proposals per
+    iteration come from EI ascents (``_propose_by_ei``); the rest are
+    uniform draws in the data's bounding box widened by half its span.
+    Decode failures (None) and invalid decodes are recorded, never
+    scored.  The result ranks unique valid molecules by score, best
+    first.  ``history`` records each iteration's fitted GP and largest
+    EI; ``seconds`` its wall times, kept apart because they differ
+    between otherwise identical runs.  ``initial_model`` is the GP
     of iteration 0, ``sgp_fit(train_embeddings, train_scores, m, seed)``,
     so callers can assess the fit on held-out rows without refitting.
     """

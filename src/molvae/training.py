@@ -229,11 +229,7 @@ def elbo(g, model: ModelParams, hyper: Hyperparams,
     lp = graph_logprob(batch, z, [p for row in plans for p in row],
                        model.decoder, partition=hyper.partition,
                        table=model.table)
-    lp = T.reshape(lp, (hyper.S, len(batch)))
-    recon = T.gather_rows(lp, 0)
-    for s in range(1, hyper.S):
-        recon = recon + T.gather_rows(lp, s)
-    recon = recon * (1.0 / hyper.S)
+    recon = T.sum_axis(T.reshape(lp, (hyper.S, len(batch))), 0) * (1.0 / hyper.S)
     value = recon - kl_term(post, hyper.D) + node_count_logpmf(batch.n, model.lambda_n)
     return value if batch is g else T.reshape(value, ())
 
@@ -382,7 +378,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"{path}: not a checkpoint file") from exc
         if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        if header.get("version") != 1:
+        if not is_integer(header.get("version")) or header["version"] != 1:
             raise ValueError(f"{path}: unsupported checkpoint version")
         blob = fh.read()
     _check_keys(path, "header field", header, (
@@ -420,7 +416,7 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: tensor {name!r} has shape {entry.get('shape')},"
                 f" hyper and alphabet imply {list(t.shape)}")
         start = entry.get("offset")
-        if not isinstance(start, int) or start < 0:
+        if not is_integer(start) or start < 0:
             raise ValueError(f"{path}: tensor {name!r} has bad offset {start!r}")
         arr = np.frombuffer(blob[start:start + t.data.size * 8], dtype="<f8")
         if arr.size != t.data.size:

@@ -1,4 +1,5 @@
-"""The benchmark's tracer finds every library name it wraps.
+"""The benchmark's tracer finds every library name it wraps, and the
+calls it buckets carry what it buckets them by.
 
 ``perfbench/tracing.py`` swaps each ``TARGETS`` entry by looking the name
 up in its owner's ``__dict__``; a rename in ``src/`` would otherwise break
@@ -10,6 +11,11 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from molvae import training
+from molvae.molgraph import GraphBatch, MolecularGraph
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -20,3 +26,25 @@ def test_every_tracer_target_resolves(monkeypatch):
     assert tracing.TARGETS
     for owner, attr, span in tracing.TARGETS:
         assert attr in owner.__dict__, (span, owner, attr)
+
+
+def test_elbo_passes_what_the_tracer_buckets_by(monkeypatch):
+    # the tracer files each graph_logprob span under args[0].n and the
+    # ``partition`` keyword, defaulting to "exact" when it is absent
+    calls = []
+    graph_logprob = training.graph_logprob
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return graph_logprob(*args, **kwargs)
+
+    monkeypatch.setattr(training, "graph_logprob", recording)
+    hyper = training.Hyperparams(D=4, K=2, L=2, mask_kind="none",
+                                 partition="negative_sampled")
+    model = training.init_model(np.random.default_rng(0), hyper, lambda_n=4.0)
+    batch = GraphBatch([MolecularGraph(("C", "C", "O"), ((0, 1, 1), (1, 2, 1))),
+                        MolecularGraph(("C", "N", "C"), ((0, 1, 2),))])
+    training.elbo(batch, model, hyper, np.random.default_rng(1))
+    (args, kwargs), = calls
+    assert args[0] is batch
+    assert kwargs["partition"] == hyper.partition

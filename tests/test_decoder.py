@@ -9,10 +9,11 @@ from molvae import decoder
 from molvae import tensor as T
 from molvae.decoder import (edge_count_dist, edge_step_logprob,
                             feature_logprob, graph_logprob, heads,
-                            init_decoder, poisson_logpmf, sample_graph,
-                            type_logits, weight_step_logprob)
+                            init_decoder, plan_edges, poisson_logpmf,
+                            sample_graph, type_logits, weight_step_logprob)
 from molvae.masks import MASK_KINDS, MaskState, make_state
-from molvae.molgraph import (DEFAULT_TABLE, MolecularGraph, valence_ok)
+from molvae.molgraph import (DEFAULT_TABLE, GraphBatch, MolecularGraph,
+                             valence_ok)
 
 
 def _params(D=4, seed=0, n_types=4):
@@ -661,6 +662,45 @@ def test_graph_logprob_equals_step_composition(monkeypatch, mask_kind, partition
         assert fused_rng.random() == ref_rng.random()
         scored += len(seq) >= 2
     assert scored >= 10
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "valence"])
+def test_batch_sequences_with_certain_steps_equal_composition(mask_kind):
+    params = _with_biases(_params(D=4, seed=89), seed=90)
+    batch = GraphBatch([
+        MolecularGraph(("C",) * 3, ((0, 1, 1), (1, 2, 2), (0, 2, 1))),
+        MolecularGraph(("C", "N", "O"), ((0, 1, 2), (1, 2, 1))),
+        MolecularGraph(("C", "O", "C"), ((0, 2, 1),)),
+    ])
+    # plan p scores graph p mod 3; closing the triangle last leaves its
+    # edge step no other candidate to sample: a certain step, no entry
+    seqs = [[(1, 2), (0, 1), (0, 2)], [(1, 2), (0, 1)], [(0, 2)],
+            [(0, 2), (0, 1), (1, 2)], [(0, 1), (1, 2)], [(0, 2)]]
+    plans = [plan_edges(batch[p % len(batch)], seq, "negative_sampled", 3,
+                        mask_kind, rng=np.random.default_rng(p))
+             for p, seq in enumerate(seqs)]
+    assert len({p.true.size for p in plans}) > 1
+    assert sum(len(seq) - int(p.edge.sum()) for p, seq in zip(plans, seqs)) >= 2
+    z0 = np.random.default_rng(91).standard_normal((len(batch), 3, 4))
+    plist = [t for _, t in params.tensors()] + [T.Tensor(z0)]
+    weights = np.linspace(-1.0, 2.0, len(seqs))  # a misrouted gradient shows
+    with T.Tape() as tape:
+        values = graph_logprob(batch, plist[-1], plans, params)
+        loss = T.sum_all(values * weights)
+    grads = tape.gradients(loss, plist)
+    apart = [np.zeros_like(t.data) for t in plist]
+    for p, (seq, w) in enumerate(zip(seqs, weights)):
+        b = p % len(batch)
+        zb = T.Tensor(z0[b])
+        ref, ref_grads = _taped(lambda: _composed_logprob(
+            batch[b], zb, seq, params, "negative_sampled", 3, mask_kind,
+            np.random.default_rng(p)), plist[:-1] + [zb])
+        assert values.data[p] == ref
+        for acc, grad in zip(apart[:-1], ref_grads[:-1]):
+            acc += w * grad
+        apart[-1][b] += w * ref_grads[-1]
+    for a, b in zip(grads, apart):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
 
 def test_graph_logprob_tape_length_is_independent_of_bonds():

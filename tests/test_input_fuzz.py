@@ -160,6 +160,9 @@ def test_damaged_checkpoint_header(fuzz_dir, checkpoint_parts, data, as_text):
     (lambda h: h["hyper"].__setitem__("lr", "NaN"), "lr"),
     (lambda h: h["hyper"].__setitem__("D", 4.5), "D must be an integer"),
     (lambda h: h.__setitem__("iteration", "1e400"), "iteration"),
+    # True == 1: as an offset it would read every float one byte off
+    (lambda h: h["tensors"][0].__setitem__("offset", True), "offset"),
+    (lambda h: h.__setitem__("version", True), "version"),
 ])
 def test_malformed_checkpoint_headers_name_the_field(tmp_path, checkpoint_parts,
                                                      edit, field):

@@ -1,7 +1,8 @@
 """Property tests: MaskState's incremental bookkeeping against brute force.
 
 Random commit/reject sequences drive each built-in mask kind; after every
-step the O(1)/O(edges) counters must agree with explicit enumeration.
+step the O(1)/O(edges) counters must agree with explicit enumeration, and
+every candidate pair must allow a single bond.
 """
 
 import itertools
@@ -64,3 +65,22 @@ def test_mask_counters_match_enumeration(kind, atoms, data):
             # any pair not yet generated may be rejected, masked or not
             state.reject(data.draw(st.sampled_from(open_pairs)))
         _check_invariants(state, kind, data)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(K.MASK_KINDS),
+       atoms=st.lists(st.sampled_from("CHNO"), min_size=2, max_size=9),
+       data=st.data())
+def test_every_candidate_admits_a_single_bond(kind, atoms, data):
+    """Under the built-in masks a pair that passes the edge mask always
+    allows a single bond, so the sampler's reject path is unreachable."""
+    state = K.make_state(kind, atom_types=atoms)
+    steps = data.draw(st.integers(0, 25))
+    for step in range(steps + 1):
+        cands = state.candidates()
+        for pair in cands:
+            assert 1 in state.allowed_orders(pair)
+        if step == steps or not cands:
+            break
+        pair = data.draw(st.sampled_from(cands))
+        state.commit(pair, data.draw(st.sampled_from(state.allowed_orders(pair))))
