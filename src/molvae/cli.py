@@ -291,14 +291,14 @@ def _count_triangles(g: MolecularGraph) -> int:
                if w > v) if g.bonds else 0
 
 
-def ranking_agreement(true_scores, model_scores, fraction: float = 0.1):
+def ranking_agreement(true_scores, model_scores):
     """Spearman rho and top/bottom precision between two score lists over
     the same ids; ties broken by id for determinism."""
     ids = list(range(len(true_scores)))
     order_true = sorted(ids, key=lambda i: (-true_scores[i], i))
     order_model = sorted(ids, key=lambda i: (-model_scores[i], i))
     rho = spearman(order_true, order_model)
-    up, down = precision_top_bottom(order_true, order_model, fraction)
+    up, down = precision_top_bottom(order_true, order_model)
     return rho, up, down
 
 

@@ -370,13 +370,15 @@ def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
 
     Plan p scores graph p mod B of the B graphs of ``h`` and ``total``
     (B = 1 and a scalar result for one graph), over the graphs' score
-    vectors concatenated.  The value adds each step's score[true] -
-    logsumexp(terms) to the running total as the composition of
+    vectors concatenated.  One unbuffered ``np.add.at`` adds each step's
+    score[true] - logsumexp(terms) to its plan's starting total, one step
+    at a time in sequence order, as the composition of
     ``edge_step_logprob`` and ``weight_step_logprob`` does, so it is
-    bit-identical.  Under a tape the backward pass scatters every step's
-    one-hot minus softmax into one gradient array, each plan's in the
-    composition's order, so a lone plan's gradients are bit-identical
-    too.  Untaped, nothing is kept for it.
+    bit-identical; a plan without steps keeps its starting total.  Under
+    a tape the backward pass scatters every step's one-hot minus softmax
+    into one gradient array, each plan's in the composition's order, so a
+    lone plan's gradients are bit-identical too.  Untaped, nothing is
+    kept for it.
     """
     graphs = total.data.size
     slot = np.arange(len(plans)) % graphs
@@ -387,11 +389,8 @@ def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
     taped = T.recording()
     steps, owner = EdgePlan.stack(plans, slot * per_graph)
     logp, soft = steps.logprobs(scores, taped)
-    lengths = np.array([p.true.size for p in plans])
-    running = np.zeros((len(plans), 1 + lengths.max()))
-    running[:, 0] = total.data.reshape(-1)[slot]
-    running[:, 1:][np.arange(running.shape[1] - 1) < lengths[:, None]] = logp
-    out = np.cumsum(running, axis=1)[np.arange(len(plans)), lengths]
+    out = total.data.reshape(-1)[slot]
+    np.add.at(out, owner, logp)
     back = (steps.one_hot_minus_softmax(soft, owner) if taped
             else (np.zeros(0, dtype=np.intp),) * 3)
 

@@ -104,10 +104,8 @@ class Neighbors:
     """Bond-weighted neighbor entries of a batch's block-diagonal graph.
 
     Node u of graph b is row b n + u.  Entry i says that row ``dst[i]``
-    receives ``weight[i]`` times row ``src[i]``; entries are grouped by
-    ``dst`` in ascending order, each group in adjacency-list order, and the
-    p-th entry of every group with more than p entries sits at
-    ``ranks[p][1]`` for the rows ``ranks[p][0]``.
+    receives ``weight[i]`` times row ``src[i]``; entries are sorted by
+    ``dst``, then ``src``.
     """
 
     def __init__(self, graphs):
@@ -123,45 +121,31 @@ class Neighbors:
         self.dst = np.asarray(dst, dtype=np.intp)[by_dst]
         self.src = np.asarray(src, dtype=np.intp)[by_dst]
         self.weight = np.asarray(weight, dtype=np.float64)[by_dst, None]
-        degree = np.bincount(self.dst, minlength=self.rows)
-        first = np.cumsum(degree) - degree
-        self.ranks = []
-        for p in range(degree.max(initial=0)):
-            rows = np.flatnonzero(degree > p)
-            self.ranks.append((rows, first[rows] + p))
-
-    def sum(self, values: np.ndarray) -> np.ndarray:
-        """Each row's entries of ``values`` (one row per entry), added
-        one by one in entry order; zero for a row without entries."""
-        out = np.zeros((self.rows, values.shape[1]))
-        for p, (rows, at) in enumerate(self.ranks):
-            if p == 0:
-                out[rows] = values[at]
-            else:
-                out[rows] += values[at]
-        return out
 
 
 def _aggregate(c_prev: T.Tensor, nbrs: Neighbors) -> T.Tensor:
     """Sum of bond-weighted neighbor embeddings, accumulated canonically.
 
-    One op for a whole batch: each node's neighbor rows are sorted
-    lexicographically, then added in that order, so any relabeling that
-    preserves the multiset of neighbor vectors produces the identical
-    float result, whatever else the batch holds.  Nodes without neighbors
-    aggregate to the zero vector.
+    One op for a whole batch: the bond-weighted neighbor rows are sorted
+    by receiving node, then lexicographically, and one unbuffered
+    ``np.add.at`` adds them one by one in that order.  So any relabeling
+    that preserves the multiset of neighbor vectors produces the
+    identical float result, whatever else the batch holds.  Nodes without
+    neighbors aggregate to the zero vector.
     """
     shape = c_prev.data.shape
     cd = c_prev.data.reshape(nbrs.rows, shape[-1])
     rows = nbrs.weight * cd[nbrs.src]
     canonical = np.lexsort(tuple(rows[:, ::-1].T) + (nbrs.dst,))
-    out = nbrs.sum(rows[canonical])
+    out = np.zeros_like(cd)
+    np.add.at(out, nbrs.dst[canonical], rows[canonical])
 
     def backward(g_out):
         # the adjacency is symmetric: row v gets weight times g_out[u] for
-        # every entry u -> v
-        g_rows = nbrs.weight * g_out.reshape(cd.shape)[nbrs.src]
-        return (nbrs.sum(g_rows).reshape(shape),)
+        # every entry u -> v, added in entry order
+        g_in = np.zeros_like(cd)
+        np.add.at(g_in, nbrs.dst, nbrs.weight * g_out.reshape(cd.shape)[nbrs.src])
+        return (g_in.reshape(shape),)
 
     return T.custom_op("aggregate", (c_prev,), out.reshape(shape), backward)
 
@@ -172,14 +156,10 @@ def embed(g, params: EncoderParams,
     (B, n, K*D) for a GraphBatch."""
     f = T.Tensor(features(g, params, table))
     nbrs = Neighbors(_graphs(g)[0])
-    hops = []
-    gated = T.linear(f, params.hops[0])
-    hops.append(gated)
-    prev = gated
+    hops = [T.linear(f, params.hops[0])]
     for k in range(1, params.K):
-        prev = T.mul(T.linear(f, params.hops[k]), _aggregate(prev, nbrs))
-        hops.append(prev)
-    return T.concat(hops, axis=-1) if len(hops) > 1 else hops[0]
+        hops.append(T.mul(T.linear(f, params.hops[k]), _aggregate(hops[-1], nbrs)))
+    return T.concat(hops, axis=-1)
 
 
 def posterior(g, params: EncoderParams,

@@ -16,6 +16,8 @@ import numpy as np
 
 BOND_ORDERS = (1, 2, 3)
 CERTIFICATE_LIMIT = 64  # largest molecule canonical_certificate accepts
+CERTIFICATE_LEAF_BUDGET = 200000  # search leaves per component before giving up
+RING_PROB = 0.3  # chance random_molecule closes rings after growing its tree
 
 
 class ValenceTable:
@@ -310,7 +312,7 @@ def _refine(n, adj, colors):
         colors = new
 
 
-def _component_certificate(atoms, adj, leaf_budget=200000):
+def _component_certificate(atoms, adj):
     """Canonical form of one connected component.
 
     Individualization-refinement search: repeatedly pick the first
@@ -363,7 +365,7 @@ def _component_certificate(atoms, adj, leaf_budget=200000):
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
             leaves[0] += 1
-            if leaves[0] > leaf_budget:
+            if leaves[0] > CERTIFICATE_LEAF_BUDGET:
                 raise RuntimeError("certificate search budget exceeded")
             value = position_records([cell[0] for cell in cells])
             if best[0] is None or value < best[0]:
@@ -381,15 +383,15 @@ def _component_certificate(atoms, adj, leaf_budget=200000):
     return best[0]
 
 
-def canonical_certificate(g: MolecularGraph,
-                          limit: int = CERTIFICATE_LIMIT) -> bytes:
+def canonical_certificate(g: MolecularGraph) -> bytes:
     """Exact isomorphism certificate: equal bytes iff graphs are isomorphic.
 
     Components are canonicalized independently and combined as a sorted
-    multiset.  Raises ValueError above the configured size limit.
+    multiset.  Raises ValueError above CERTIFICATE_LIMIT nodes.
     """
-    if g.n > limit:
-        raise ValueError(f"certificate limited to {limit} nodes, got {g.n}")
+    if g.n > CERTIFICATE_LIMIT:
+        raise ValueError(f"certificate limited to {CERTIFICATE_LIMIT} nodes,"
+                         f" got {g.n}")
     if g.n == 0:
         return b"(0)"
     adj = g.adjacency()
@@ -442,8 +444,7 @@ def compute_metrics(samples, corpus, table: ValenceTable | None = None) -> Quali
 # corpus synthesis (desk-scale test and demo data)
 
 def random_molecule(rng: np.random.Generator, n_nodes: int,
-                    table: ValenceTable | None = None,
-                    ring_prob: float = 0.3) -> MolecularGraph:
+                    table: ValenceTable | None = None) -> MolecularGraph:
     """Sample a connected molecule that respects the valence table.
 
     Grows a random tree (attachment points weighted by remaining valence),
@@ -478,7 +479,7 @@ def random_molecule(rng: np.random.Generator, n_nodes: int,
         bonds.append((u, v, order))
 
     n = len(atoms)
-    if rng.random() < ring_prob and n >= 3:
+    if rng.random() < RING_PROB and n >= 3:
         bonded = {(u, v) for u, v, _ in bonds}
         for _ in range(2):
             open_nodes = [u for u in range(n) if remaining[u] >= 1]

@@ -20,6 +20,7 @@ from .masks import make_state
 from .molgraph import MolecularGraph
 
 NEUTRAL_ATOM = "C"
+EXTREME_FRACTION = 0.1  # share of a true ranking precision_top_bottom checks at each end
 
 
 def as_molecule(n: int, pairs) -> MolecularGraph:
@@ -225,13 +226,12 @@ def spearman(order_a, order_b) -> float:
     return float((ra * rb).sum() / math.sqrt((ra * ra).sum() * (rb * rb).sum()))
 
 
-def precision_top_bottom(order_true, order_model,
-                         fraction: float = 0.1) -> tuple[float, float]:
+def precision_top_bottom(order_true, order_model) -> tuple[float, float]:
     """How much of the true extreme slices the model's halves recover.
 
-    The true ranking contributes its top and bottom ``fraction`` slices; the
-    model ranking contributes its top and bottom halves.  Returns the
-    fraction of each true slice found in the matching model half.
+    The true ranking contributes its top and bottom ``EXTREME_FRACTION``
+    slices; the model ranking contributes its top and bottom halves.  Returns
+    the fraction of each true slice found in the matching model half.
     """
     pt = _rank_positions(order_true)
     pm = _rank_positions(order_model)
@@ -240,7 +240,7 @@ def precision_top_bottom(order_true, order_model,
     n = len(pt)
     if n < 10:
         raise ValueError("need at least 10 items")
-    slice_size = max(1, int(n * fraction))
+    slice_size = max(1, int(n * EXTREME_FRACTION))
     half = n // 2
     top_true = set(list(order_true)[:slice_size])
     bottom_true = set(list(order_true)[-slice_size:])

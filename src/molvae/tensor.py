@@ -354,6 +354,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # ---------------------------------------------------------------------------
 # optimization
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamState:
     """Adam moment estimates for a fixed parameter list (ascent convention).
 
@@ -361,13 +364,9 @@ class AdamState:
     maximizes the objective; callers working with losses should negate first.
     """
 
-    def __init__(self, params, lr: float = 0.005, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 0.005):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -388,13 +387,13 @@ def adam_step(state: AdamState, grads) -> None:
         if np.shape(g) != p.data.shape:
             raise ValueError("adam_step: gradient shape mismatch")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, (p, g) in enumerate(zip(state.params, grads)):
         state.m[i] = b1 * state.m[i] + (1 - b1) * g
         state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
         mhat = state.m[i] / (1 - b1 ** state.t)
         vhat = state.v[i] / (1 - b2 ** state.t)
-        p.data += state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.data += state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def finite_diff_check(loss_fn, params, h: float = 1e-5) -> float:

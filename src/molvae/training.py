@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -363,12 +363,20 @@ def _check_keys(path, kind: str, found, expected) -> None:
         raise ValueError(f"{path}: {what} {kind} {odd[0]!r}")
 
 
+def _check_unique(path, field: str, kind: str, keys) -> None:
+    """Raise ValueError naming the first key that ``field`` lists twice."""
+    twice = [key for key, count in Counter(keys).items() if count > 1]
+    if twice:
+        raise ValueError(f"{path}: field {field!r} lists {kind} {twice[0]!r} twice")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``.
 
     The tensors must be exactly those, in the shapes, that ``hyper`` and
-    ``alphabet`` imply.  Any damage raises ValueError naming the file and
-    the field.
+    ``alphabet`` imply, each listed once at the offset and size of the
+    packed layout, with no bytes after the last.  Any damage raises
+    ValueError naming the file and the field.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -393,6 +401,7 @@ def load_checkpoint(path) -> Checkpoint:
             isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
             and is_integer(e[1]) for e in alphabet):
         raise ValueError(f"{path}: field 'alphabet' must list [symbol, valence] pairs")
+    _check_unique(path, "alphabet", "symbol", [sym for sym, _ in alphabet])
     if not _finite_positive(lambda_n):
         raise ValueError(f"{path}: field 'lambda_n' must be finite and positive")
     if not is_integer(header["iteration"]) or header["iteration"] < 0:
@@ -405,21 +414,30 @@ def load_checkpoint(path) -> Checkpoint:
         table = ValenceTable(dict(alphabet))
         model = init_model(np.random.default_rng(0), hyper, table,
                            float(lambda_n))
-        entries = {e["name"]: e for e in header["tensors"]}
+        names = [e["name"] for e in header["tensors"]]
+        entries = dict(zip(names, header["tensors"]))
     except (TypeError, ValueError, KeyError) as exc:
         raise ValueError(f"{path}: bad checkpoint header: {exc}") from exc
+    _check_unique(path, "tensors", "tensor", names)
     _check_keys(path, "tensor", entries, [name for name, _ in model.tensors()])
+    start = 0  # the packed layout save_checkpoint writes
     for name, t in model.tensors():
-        entry = entries[name]
+        entry, size = entries[name], t.data.size
         if entry.get("shape") != list(t.shape):
             raise ValueError(
                 f"{path}: tensor {name!r} has shape {entry.get('shape')},"
                 f" hyper and alphabet imply {list(t.shape)}")
-        start = entry.get("offset")
-        if not is_integer(start) or start < 0:
-            raise ValueError(f"{path}: tensor {name!r} has bad offset {start!r}")
-        arr = np.frombuffer(blob[start:start + t.data.size * 8], dtype="<f8")
-        if arr.size != t.data.size:
+        for field, want in (("offset", start), ("size", size)):
+            got = entry.get(field)
+            if not is_integer(got) or got != want:
+                raise ValueError(f"{path}: tensor {name!r} has {field} {got!r},"
+                                 f" the packed layout needs {want}")
+        arr = np.frombuffer(blob[start:start + size * 8], dtype="<f8")
+        if arr.size != size:
             raise ValueError(f"{path}: truncated tensor {name!r}")
         t.data = arr.reshape(t.shape).copy()
+        start += size * 8
+    if len(blob) > start:
+        raise ValueError(f"{path}: {len(blob) - start} bytes after the last"
+                         f" tensor of field 'tensors'")
     return Checkpoint(model, hyper, header["iteration"])

@@ -703,6 +703,42 @@ def test_batch_sequences_with_certain_steps_equal_composition(mask_kind):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
 
+@pytest.mark.parametrize("partition", ["exact", "negative_sampled"])
+def test_batch_with_a_bond_free_graph_equals_composition(partition):
+    params = _with_biases(_params(D=4, seed=93), seed=94)
+    batch = GraphBatch([
+        MolecularGraph(("C", "O", "N"), ()),
+        MolecularGraph(("C", "N", "O"), ((0, 1, 2), (1, 2, 1))),
+        MolecularGraph(("C", "O", "C"), ((0, 2, 1),)),
+    ])
+    # plans 0 and 3 score the bond-free graph: they have no steps at all
+    seqs = [[], [(1, 2), (0, 1)], [(0, 2)], [], [(0, 1), (1, 2)], [(0, 2)]]
+    plans = [plan_edges(batch[p % len(batch)], seq, partition, 3, "valence",
+                        rng=np.random.default_rng(p))
+             for p, seq in enumerate(seqs)]
+    assert [p.true.size for p in plans][::3] == [0, 0]
+    z0 = np.random.default_rng(95).standard_normal((len(batch), 3, 4))
+    plist = [t for _, t in params.tensors()] + [T.Tensor(z0)]
+    weights = np.linspace(-1.0, 2.0, len(seqs))  # a misrouted gradient shows
+    with T.Tape() as tape:
+        values = graph_logprob(batch, plist[-1], plans, params)
+        loss = T.sum_all(values * weights)
+    grads = tape.gradients(loss, plist)
+    apart = [np.zeros_like(t.data) for t in plist]
+    for p, (seq, w) in enumerate(zip(seqs, weights)):
+        b = p % len(batch)
+        zb = T.Tensor(z0[b])
+        ref, ref_grads = _taped(lambda: _composed_logprob(
+            batch[b], zb, seq, params, partition, 3, "valence",
+            np.random.default_rng(p)), plist[:-1] + [zb])
+        assert values.data[p] == ref
+        for acc, grad in zip(apart[:-1], ref_grads[:-1]):
+            acc += w * grad
+        apart[-1][b] += w * ref_grads[-1]
+    for a, b in zip(grads, apart):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
 def test_graph_logprob_tape_length_is_independent_of_bonds():
     params = _params(D=4, seed=79)
     z = _zt(6, 4, seed=13)

@@ -163,16 +163,25 @@ def test_damaged_checkpoint_header(fuzz_dir, checkpoint_parts, data, as_text):
     # True == 1: as an offset it would read every float one byte off
     (lambda h: h["tensors"][0].__setitem__("offset", True), "offset"),
     (lambda h: h.__setitem__("version", True), "version"),
+    # a second entry for one tensor, pointing at the next tensor's bytes
+    (lambda h: h["tensors"].append(dict(h["tensors"][0], offset=h["tensors"][1]["offset"])),
+     "'tensors' lists tensor 'enc.hop1' twice"),
+    (lambda h: h["alphabet"].append(["C", 3]), "'alphabet' lists symbol 'C' twice"),
+    # two tensors reading the same bytes
+    (lambda h: h["tensors"][1].__setitem__("offset", 0), "'enc.hop2' has offset 0"),
+    (lambda h: h["tensors"][0].__setitem__("size", "bogus"), "has size 'bogus'"),
+    # the returned bytes are appended after the last tensor
+    (lambda h: b"\0" * 8, "8 bytes after the last tensor"),
 ])
 def test_malformed_checkpoint_headers_name_the_field(tmp_path, checkpoint_parts,
                                                      edit, field):
     header, blob = checkpoint_parts
     header = json.loads(json.dumps(header))
-    edit(header)
+    extra = edit(header) or b""
     # the string placeholders become bare JSON numbers that Python's json
     # module reads as inf or NaN
     text = json.dumps(header).replace('"1e400"', "1e400").replace('"NaN"', "NaN")
-    path = _write_checkpoint(tmp_path / "model.bin", text, blob)
+    path = _write_checkpoint(tmp_path / "model.bin", text, blob + extra)
     with pytest.raises(ValueError, match=field) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value)

@@ -509,6 +509,17 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert a == b
 
 
+def test_benchmark_fixture_checkpoint_rewrites_byte_for_byte(tmp_path):
+    """The benchmark's checkpoint reads and writes back unchanged, so the
+    reader and writer have not drifted from the format it was made in."""
+    fixture = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "fixture", "checkpoint.bin")
+    path = os.path.join(tmp_path, "checkpoint.bin")
+    save_checkpoint(path, load_checkpoint(fixture))
+    with open(fixture, "rb") as a, open(path, "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     p = os.path.join(tmp_path, "junk.bin")
     with open(p, "wb") as fh:
