@@ -10,9 +10,19 @@ failure, 2 usage or input error.
 defaults, the parsed ``--amplitudes`` and a ``Path`` for ``--out-dir``, then
 range-checks every flag before any input is read.  Each ``cmd_*`` reads its
 flags straight off that namespace.
+
+BLAS runs on one thread unless the environment says otherwise: on a
+machine with few cores, the small dense products of ``bo`` run many times
+slower on more.  The defaults are set before numpy loads, so they hold for
+the ``molvae`` command, not for a process that imported numpy first.
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import csv

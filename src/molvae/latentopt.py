@@ -13,15 +13,17 @@ gradient, through the same predictive equations as ``sgp_predict``.  The
 molecule decoder encodes each seed molecule once.
 
 Inputs are checked once, where they enter: ``sgp_fit`` checks ``x``,
-``y``, ``hypers`` and ``iters``; ``sgp_predict`` and ``sgp_loglik`` check
+``y``, ``hypers``, ``start`` and ``iters``; ``sgp_predict`` and ``sgp_loglik`` check
 ``xs`` and ``ys``; the EI ascent starts from points ``sgp_predict`` has
 checked and stays inside a finite box.  The inner loops (``_fitc``,
-``_predictive``, ``_neg_ei``) check nothing, and every triangular solve in
-them goes straight to LAPACK through ``_solve_tri``.  Per fit, the
-inducing-point distances are computed once, and the factors of the
-optimizer's last evaluation are kept, not recomputed, when it ends there.
-SciPy is imported where it is used, so importing this module loads it
-only once a GP is fitted or an EI ascent runs.
+``_predictive``, ``_neg_ei``) check nothing.  Each Cholesky factor is
+inverted once per factorization (``_tri_inv``, one LAPACK call), so every
+other product in them is a matrix multiply.  Per fit, the inducing-point
+distances are computed once, and the factors of the optimizer's last
+evaluation are kept, not recomputed, when it ends there.  ``bo_loop``
+starts each refit after the first at the previous iteration's
+hyperparameters.  SciPy is imported where it is used, so importing this
+module loads it only once a GP is fitted or an EI ascent runs.
 """
 
 from __future__ import annotations
@@ -55,8 +57,12 @@ def molecule_embedding(post) -> np.ndarray:
 
 @dataclass
 class SGPModel:
-    """Fitted sparse GP: inducing set, RBF hyperparameters, and the
-    Cholesky factors prediction solves against."""
+    """Fitted sparse GP: inducing set, RBF hyperparameters, and what
+    prediction multiplies by.
+
+    With K_uu = L_uu L_uu' and B = L_b L_b' as in ``_fitc``, ``proj`` is
+    the (2m, m) stack [L_uu^-1; L_b^-1 L_uu^-1] and ``alpha`` =
+    L_uu^-T L_b^-T c, the weights of the predictive mean."""
 
     inducing: np.ndarray
     s2f: float
@@ -65,8 +71,7 @@ class SGPModel:
     jitter: float  # the rung of JITTERS that factorized, relative to s2f
     y_mean: float
     alpha: np.ndarray = field(repr=False)
-    l_uu: np.ndarray = field(repr=False)
-    l_b: np.ndarray = field(repr=False)
+    proj: np.ndarray = field(repr=False)
 
 
 def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,24 +97,20 @@ def _finite(name: str, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _solve_tri(a, b, trans=0, lower=False, overwrite_b=False):
-    """``scipy.linalg.solve_triangular`` for float64 without its input
-    checks: the same LAPACK ``dtrtrs`` call with the same arguments, so
-    the same bits.  Raises LinAlgError on a zero pivot."""
-    from scipy.linalg.lapack import dtrtrs
+def _tri_inv(l):
+    """Inverse of the lower-triangular ``l`` (zeros above its diagonal, as
+    ``np.linalg.cholesky`` returns it) by one LAPACK ``dtrtri`` call.  It
+    inverts the transpose, whose Fortran order LAPACK reads without a
+    copy of a C-ordered ``l``.  Raises LinAlgError on a zero pivot."""
+    from scipy.linalg.lapack import dtrtri
 
-    if a.flags.f_contiguous:
-        x, info = dtrtrs(a, b, overwrite_b=overwrite_b, lower=lower,
-                         trans=trans)
-    else:  # dtrtrs expects Fortran order: solve the transposed system
-        x, info = dtrtrs(a.T, b, overwrite_b=overwrite_b, lower=not lower,
-                         trans=not trans)
+    inv_t, info = dtrtri(l.T, lower=0)
     if info > 0:
         raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
+            f"singular matrix: zero pivot at diagonal {info - 1}")
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
-    return x
+        raise ValueError(f"illegal value in argument {-info} of dtrtri")
+    return inv_t.T
 
 
 def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
@@ -136,15 +137,19 @@ def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
     tr(R dC) = 2 sum(G * dK_uf) - sum(G P' * dK_uu) + r'(diag dK_ff + dnoise)
     with G = P R~ = L_uu^-T H and H = A R~ = (A alpha) alpha' - B^-1 A
     diag(1/lam) - A diag(r), using A C^-1 = B^-1 A diag(1/lam).
-    Returns (l_uu, l_b, lam, c, log marginal likelihood, gradient).
+
+    L_uu and L_b are inverted once each (``_tri_inv``), so A, V, H and G
+    are matrix products with L_uu^-1, L_b^-1 and their transposes.
+    Returns (L_uu^-1, L_b^-1, lam, c, log marginal likelihood, gradient).
     """
     m = d_uu.shape[0]
     inv_l2 = 1.0 / lengthscale ** 2
     kuu = s2f * np.exp(-0.5 * inv_l2 * d_uu)
     kuu_jit = kuu + (jitter * s2f) * np.eye(m)
     l_uu = np.linalg.cholesky(kuu_jit)
+    li_uu = _tri_inv(l_uu)
     kuf = s2f * np.exp(-0.5 * inv_l2 * d_uf)
-    a = _solve_tri(l_uu, kuf, lower=True)
+    a = li_uu @ kuf
     dk_uf = d_uf * kuf  # lengthscale^2 dK_uf / dlog lengthscale
     del kuf
     lam = s2f - np.einsum("mn,mn->n", a, a) + noise
@@ -153,7 +158,8 @@ def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
     sqrt_lam = np.sqrt(lam)
     v = a / sqrt_lam
     l_b = np.linalg.cholesky(np.eye(m) + v @ v.T)
-    v = _solve_tri(l_b, v, lower=True, overwrite_b=True)
+    li_b = _tri_inv(l_b)
+    v = li_b @ v
     v /= sqrt_lam
     c = v @ yc
     log_det = np.log(lam).sum() + 2.0 * np.log(np.diag(l_b)).sum()
@@ -162,15 +168,13 @@ def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
 
     alpha = yc / lam - v.T @ c
     r = alpha ** 2 - 1.0 / lam + np.einsum("mn,mn->n", v, v)
-    h = _solve_tri(l_b, v, trans=1, lower=True, overwrite_b=True)
+    h = li_b.T @ (np.outer(c, alpha) - v)
     del v
-    h *= -1.0
-    h += np.outer(_solve_tri(l_b, c, trans=1, lower=True), alpha)
     h -= a * r
-    g = _solve_tri(l_uu, h, trans=1, lower=True, overwrite_b=True)
+    g = li_uu.T @ h
     del h
     a_gt = a @ g.T
-    gpt = _solve_tri(l_uu, a_gt, trans=1, lower=True)  # (G P')'
+    gpt = li_uu.T @ a_gt  # (G P')'
     g_kuf = np.einsum("ij,ji->", l_uu, a_gt)  # sum(G * K_uf), K_uf = L_uu A
     r_sum = r.sum()
     grad = 0.5 * np.array([
@@ -178,11 +182,24 @@ def _fitc(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
         inv_l2 * (2.0 * np.einsum("mn,mn->", g, dk_uf)
                   - np.einsum("ij,ij,ij->", gpt, kuu, d_uu)),
         noise * r_sum])
-    return l_uu, l_b, lam, c, float(lml), grad
+    return li_uu, li_b, lam, c, float(lml), grad
+
+
+def _hyper_triple(name: str, value) -> np.ndarray:
+    """``value`` as the array (s2f, lengthscale, noise), each of them
+    finite and positive; a ValueError names ``name`` otherwise."""
+    h = np.asarray(value, dtype=np.float64)
+    if h.shape != (3,):
+        raise ValueError(f"{name} must be (s2f, lengthscale, noise)")
+    for part, v in zip(("s2f", "lengthscale", "noise"), h):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} {part} must be finite and positive,"
+                             f" got {v}")
+    return h
 
 
 def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
-            hypers=None) -> SGPModel:
+            hypers=None, start=None) -> SGPModel:
     """Fit a FITC sparse GP by L-BFGS-B on its log marginal likelihood,
     with the exact gradient ``_fitc`` returns alongside it.
 
@@ -193,8 +210,11 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     of points) runs past every jitter.  ``iters`` (>= 0) caps the
     optimizer's iterations; ``hypers`` = (signal variance, lengthscale,
     noise variance), each finite and positive, skips the fit: the model
-    holds exactly these values.  Singular kernels escalate through the
-    jitter ladder, whose rungs are relative to s2f.
+    holds exactly these values.  ``start``, in the same form, starts the
+    optimizer there instead of at the data's point, clipped into the box,
+    which stays centred on the data's point; it cannot be combined with
+    ``hypers``.  Singular kernels escalate through the jitter ladder,
+    whose rungs are relative to s2f.
 
     The inputs are checked here and nowhere below: ``x`` and ``y`` must
     be finite.  The squared distances among the inducing inputs and from
@@ -203,6 +223,8 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     last evaluation are kept; when the optimizer returns that point, the
     model takes them instead of factorizing again.
     """
+    if hypers is not None and start is not None:
+        raise ValueError("pass hypers or start, not both")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -224,13 +246,7 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     yc = y - y_mean
 
     if hypers is not None:
-        h = np.asarray(hypers, dtype=np.float64)
-        if h.shape != (3,):
-            raise ValueError("hypers must be (s2f, lengthscale, noise)")
-        for name, v in zip(("s2f", "lengthscale", "noise"), h):
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"hypers {name} must be finite and"
-                                 f" positive, got {v}")
+        h = _hyper_triple("hypers", hypers)
         iters = 0
     else:
         from scipy.spatial.distance import pdist
@@ -238,11 +254,14 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
         var_y = float(yc.var()) + 1e-8
         off = pdist(x, "sqeuclidean")
         median_sq = float(np.median(off)) if off.size else 1.0
-        start = np.array([math.log(var_y),
-                          0.5 * math.log(max(median_sq, 1e-8)),
-                          math.log(0.1 * var_y)])
-        bounds = [(v - HYPER_BOX, v + HYPER_BOX) for v in start]
-        h = np.exp(start)
+        centre = np.array([math.log(var_y),
+                           0.5 * math.log(max(median_sq, 1e-8)),
+                           math.log(0.1 * var_y)])
+        lo, hi = centre - HYPER_BOX, centre + HYPER_BOX
+        bounds = list(zip(lo, hi))
+        log_h = centre if start is None else np.clip(
+            np.log(_hyper_triple("start", start)), lo, hi)
+        h = np.exp(log_h)
     last = [None, None, None]  # hyperparameters, jitter, _fitc output
 
     def factors(h, jitter):
@@ -257,42 +276,41 @@ def sgp_fit(x, y, n_inducing: int, seed: int = 0, iters: int = 150,
     for jitter in JITTERS:
         try:
             if iters > 0:
-                h = np.exp(minimize(neg_lml, start, args=(jitter,), jac=True,
+                h = np.exp(minimize(neg_lml, log_h, args=(jitter,), jac=True,
                                     method="L-BFGS-B", bounds=bounds,
                                     options={"maxiter": iters}).x)
-            l_uu, l_b, _, c, _, _ = factors(h, jitter)
+            li_uu, li_b, _, c, _, _ = factors(h, jitter)
             break
         except np.linalg.LinAlgError:
             if jitter == JITTERS[-1]:
                 raise
     s2f, lengthscale, noise = (float(v) for v in h)
-    alpha = _solve_tri(l_uu.T, _solve_tri(l_b.T, c, lower=False),
-                       lower=False)
+    proj = np.vstack([li_uu, li_b @ li_uu])
     return SGPModel(inducing=xu, s2f=s2f, lengthscale=lengthscale,
-                    noise=noise, jitter=jitter, y_mean=y_mean, alpha=alpha,
-                    l_uu=l_uu, l_b=l_b)
+                    noise=noise, jitter=jitter, y_mean=y_mean,
+                    alpha=proj[n_inducing:].T @ c, proj=proj)
 
 
 def _predictive(model: SGPModel, xs):
     """The FITC predictive equations at the rows of ``xs``: returns the
-    kernel rows k (p, m), t1 = L_uu^-1 k', t2 = L_b^-1 t1, the mean
-    k alpha + y_mean and the observation variance
-    max(s2f - |t1|^2 + |t2|^2, 0) + noise."""
+    kernel rows k (p, m), t = proj k' (2m, p), whose halves are
+    t1 = L_uu^-1 k' and t2 = L_b^-1 t1, the mean k alpha + y_mean and the
+    observation variance max(s2f - |t1|^2 + |t2|^2, 0) + noise."""
     ks = _kernel_np(xs, model.inducing, model.s2f, model.lengthscale)
     mean = ks @ model.alpha + model.y_mean
-    t1 = _solve_tri(model.l_uu, ks.T, lower=True)
-    t2 = _solve_tri(model.l_b, t1, lower=True)
+    t = model.proj @ ks.T
+    t1, t2 = np.split(t, 2)
     q = np.einsum("mn,mn->n", t1, t1)
     corr = np.einsum("mn,mn->n", t2, t2)
     var = np.maximum(model.s2f - q + corr, 0.0) + model.noise
-    return ks, t1, t2, mean, var
+    return ks, t, mean, var
 
 
 def sgp_predict(model: SGPModel, xs) -> tuple[np.ndarray, np.ndarray]:
     """Predictive mean and observation variance (latent variance + noise)
     at the rows of ``xs``, which must be finite."""
     xs = _finite("xs", np.atleast_2d(np.asarray(xs, dtype=np.float64)))
-    return _predictive(model, xs)[3:]
+    return _predictive(model, xs)[2:]
 
 
 def sgp_loglik(model: SGPModel, xs, ys) -> np.ndarray:
@@ -336,15 +354,16 @@ def _neg_ei(v, model: SGPModel, best):
 
     With dk/dv = -k (v - u) / lengthscale^2 per inducing input u, the mean
     has gradient alpha' dk/dv and the variance -2 (W k)' dk/dv, where
-    W k = L_uu^-T (t1 - L_b^-T t2); the variance is flat where it is
-    clipped at zero.  Then grad EI = Phi(z) grad mean
-    + phi(z) grad var / (2 sd).  The value is ``expected_improvement``'s
-    formula on the one point's scalars, the same operations in the same
-    order, so it equals ``expected_improvement(*sgp_predict(model, v),
-    best)`` bit for bit.  ``v`` is not checked: the ascent starts from
-    points ``sgp_predict`` has checked and stays inside a finite box.
+    W k = L_uu^-T (t1 - L_b^-T t2) = proj' [t1; -t2], one matrix-vector
+    product; the variance is flat where it is clipped at zero.  Then
+    grad EI = Phi(z) grad mean + phi(z) grad var / (2 sd).  The value is
+    ``expected_improvement``'s formula on the one point's scalars, the
+    same operations in the same order, so it equals
+    ``expected_improvement(*sgp_predict(model, v), best)`` bit for bit.
+    ``v`` is not checked: the ascent starts from points ``sgp_predict``
+    has checked and stays inside a finite box.
     """
-    ks, t1, t2, mean, var = _predictive(model, v[None, :])
+    ks, t, mean, var = _predictive(model, v[None, :])
     mean, var = float(mean[0]), float(var[0])
     sd = math.sqrt(var)  # > 0: a fitted noise variance is positive
     z = (mean - best) / sd
@@ -354,10 +373,8 @@ def _neg_ei(v, model: SGPModel, best):
     d_mean = model.alpha @ dk
     d_var = np.zeros_like(v)
     if var > model.noise:
-        wk = _solve_tri(model.l_uu,
-                        t1 - _solve_tri(model.l_b, t2, trans=1, lower=True),
-                        trans=1, lower=True)
-        d_var = -2.0 * (wk[:, 0] @ dk)
+        t[len(t) // 2:] *= -1.0
+        d_var = -2.0 * ((model.proj.T @ t[:, 0]) @ dk)
     return -ei, -(big_phi * d_mean + phi * d_var / (2.0 * sd))
 
 
@@ -452,7 +469,8 @@ class BOResult:
 
 
 def _propose_by_ei(model: SGPModel, x, best, count, rng):
-    """``count`` distinct proposals and the largest EI found.
+    """``count`` distinct proposals, how many of them (the first ones) are
+    ascent optima, and the largest EI found.
 
     L-BFGS-B ascends EI on its exact gradient (``_neg_ei``) from the
     ``EI_STARTS`` best points of a random pool plus the training rows,
@@ -482,9 +500,10 @@ def _propose_by_ei(model: SGPModel, x, best, count, rng):
             picked.append(v)
         if len(picked) == count:
             break
+    ascents = len(picked)
     while len(picked) < count:
         picked.append(rng.uniform(lo, hi))
-    return picked, float(found[0][0])
+    return picked, ascents, float(found[0][0])
 
 
 def _molecule_key(g: MolecularGraph):
@@ -506,13 +525,16 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
     the valid ones with the oracle.  At most ``EI_STARTS`` proposals per
     iteration come from EI ascents (``_propose_by_ei``); the rest are
     uniform draws in the data's bounding box widened by half its span.
-    Decode failures (None) and invalid decodes are recorded, never
-    scored.  The result ranks unique valid molecules by score, best
-    first.  ``history`` records each iteration's fitted GP and largest
-    EI; ``seconds`` its wall times, kept apart because they differ
-    between otherwise identical runs.  ``initial_model`` is the GP
-    of iteration 0, ``sgp_fit(train_embeddings, train_scores, m, seed)``,
-    so callers can assess the fit on held-out rows without refitting.
+    Each fit after the first starts at the previous iteration's
+    hyperparameters (``sgp_fit(start=...)``).  Decode failures (None) and
+    invalid decodes are recorded, never scored.  The result ranks unique
+    valid molecules by score, best first.  ``history`` records each
+    iteration's fitted GP, largest EI and how many proposals came from
+    ascents (``ascent_picks``) and from uniform draws (``random_picks``);
+    ``seconds`` its wall times, kept apart because they differ between
+    otherwise identical runs.  ``initial_model`` is the GP of iteration 0,
+    ``sgp_fit(train_embeddings, train_scores, m, seed)``, so callers can
+    assess the fit on held-out rows without refitting.
     """
     x = np.asarray(train_embeddings, dtype=np.float64)
     y = np.asarray(train_scores, dtype=np.float64).ravel()
@@ -529,16 +551,19 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
     oracle_calls = 0
     n_decoded = 0
     n_valid = 0
-    initial_model = None
+    initial_model = model = None
     for it in range(iters):
         m_ind = len(x) if n_inducing is None else min(n_inducing, len(x))
+        start = None if model is None else (model.s2f, model.lengthscale,
+                                             model.noise)
         t0 = perf_counter()
-        model = sgp_fit(x, y, m_ind, seed=seed + it)
+        model = sgp_fit(x, y, m_ind, seed=seed + it, start=start)
         t1 = perf_counter()
         if it == 0:
             initial_model = model
         best = float(y.max())
-        proposals, max_ei = _propose_by_ei(model, x, best, batch, rng)
+        proposals, ascents, max_ei = _propose_by_ei(model, x, best, batch,
+                                                    rng)
         t2 = perf_counter()
         t_oracle = 0.0
         new_x, new_y = [], []
@@ -565,6 +590,8 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
             x = np.vstack([x, np.array(new_x)])
             y = np.concatenate([y, np.array(new_y)])
         history.append({"iteration": it, "proposed": len(proposals),
+                        "ascent_picks": ascents,
+                        "random_picks": len(proposals) - ascents,
                         "decoded": n_decoded, "failed": n_failed,
                         "best_so_far": float(y.max()), "s2f": model.s2f,
                         "lengthscale": model.lengthscale,

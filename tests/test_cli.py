@@ -275,6 +275,35 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def _fresh_python(code, **env_update):
+    """Standard output of ``code`` in a fresh interpreter that imports this
+    source tree, with the BLAS thread variables unset but for
+    ``env_update``."""
+    src = str(Path(molvae.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update(env_update)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True).stdout.split()
+
+
+def test_cli_defaults_blas_to_one_thread():
+    read = "import os, molvae.cli; print(*(os.environ[v] for v in %r))" % (
+        BLAS_THREAD_VARS,)
+    assert _fresh_python(read) == ["1", "1", "1"]
+    assert _fresh_python(read, OPENBLAS_NUM_THREADS="2",
+                         MKL_NUM_THREADS="3") == ["2", "1", "3"]
+    # the defaults must be in place before numpy loads
+    assert _fresh_python("import sys, molvae;"
+                         " print('numpy' in sys.modules)") == ["False"]
+
+
 def test_ranking_agreement_degenerate():
     scores = [float(v) for v in range(12, 0, -1)]
     rho, up, down = ranking_agreement(scores, list(scores))
@@ -303,6 +332,8 @@ def test_bo_outputs(workspace, tmp_path, monkeypatch):
     assert [h["iteration"] for h in trace["history"]] == [0, 1]
     for h in trace["history"]:
         assert {"s2f", "lengthscale", "noise", "jitter", "max_ei"} <= set(h)
+        assert h["ascent_picks"] + h["random_picks"] == h["proposed"] == 5
+        assert h["ascent_picks"] >= 1
         assert not {"fit", "propose", "decode", "oracle"} & set(h)
     assert [s["iteration"] for s in trace["seconds"]] == [0, 1]
     for s in trace["seconds"]:

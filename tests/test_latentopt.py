@@ -18,9 +18,9 @@ import molvae.tensor as T
 from molvae.encoder import Posterior, posterior
 import molvae.latentopt as latentopt
 from molvae.decoder import sample_graph
-from molvae.latentopt import (JITTERS, BOResult, _fitc,
-                              _min_cycle_basis_lengths, _neg_ei, _solve_tri,
-                              _sqdist, bo_loop,
+from molvae.latentopt import (HYPER_BOX, JITTERS, BOResult, _fitc,
+                              _min_cycle_basis_lengths, _neg_ei, _sqdist,
+                              _tri_inv, bo_loop,
                               expected_improvement, make_molecule_decoder,
                               molecule_embedding,
                               proxy_property, sgp_fit, sgp_loglik, sgp_predict)
@@ -233,14 +233,12 @@ def test_sgp_fit_keeps_factors_of_a_fresh_fitc(case):
     model = sgp_fit(x, y, **kwargs)
     if case == "duplicates":
         assert model.jitter == JITTERS[0]
-    l_uu, l_b, _, c = _fitc_at(x, y - float(y.mean()), model.inducing,
-                               model.s2f, model.lengthscale, model.noise,
-                               model.jitter)[:4]
-    alpha = solve_triangular(l_uu.T, solve_triangular(l_b.T, c, lower=False),
-                             lower=False)
-    assert np.array_equal(model.l_uu, l_uu)
-    assert np.array_equal(model.l_b, l_b)
-    assert np.array_equal(model.alpha, alpha)
+    li_uu, li_b, _, c = _fitc_at(x, y - float(y.mean()), model.inducing,
+                                 model.s2f, model.lengthscale, model.noise,
+                                 model.jitter)[:4]
+    proj = np.vstack([li_uu, li_b @ li_uu])
+    assert np.array_equal(model.proj, proj)
+    assert np.array_equal(model.alpha, proj[len(li_uu):].T @ c)
 
 
 @pytest.mark.parametrize("fail_at", [None, 2])
@@ -311,6 +309,53 @@ def test_sgp_fit_holds_given_hypers_exactly():
         assert (model.s2f, model.lengthscale, model.noise) == hypers
 
 
+@pytest.mark.parametrize("start,part", [
+    ((1.0, 1.0), None), ((1.0, 1.0, 0.1, 2.0), None),
+    ((math.nan, 1.0, 0.1), "s2f"), ((1.0, math.inf, 0.1), "lengthscale"),
+    ((1.0, 1.0, 0.0), "noise"), ((-1.0, 1.0, 0.1), "s2f")])
+def test_sgp_fit_rejects_bad_start(start, part):
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((10, 2))
+    match = "^start must be" if part is None else f"^start {part} "
+    with pytest.raises(ValueError, match=match):
+        sgp_fit(x, x[:, 0], n_inducing=4, start=start)
+
+
+def test_sgp_fit_rejects_start_with_hypers():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((10, 2))
+    with pytest.raises(ValueError, match="start"):
+        sgp_fit(x, x[:, 0], n_inducing=4, hypers=(1.0, 1.0, 0.1),
+                start=(1.0, 1.0, 0.1))
+
+
+def test_sgp_fit_clips_start_into_the_box(monkeypatch):
+    seen = []
+    minimize = latentopt.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        seen.append((np.array(x0), kwargs["bounds"]))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(latentopt, "minimize", recording_minimize)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((40, 3))
+    y = np.sin(2.0 * x[:, 0]) + x[:, 1] ** 2
+    cold = sgp_fit(x, y, n_inducing=15, seed=1, iters=5)
+    lo, hi = np.array(seen[0][1]).T
+    assert np.array_equal(hi - lo, np.full(3, 2.0 * HYPER_BOX))
+    start = (1e30, cold.lengthscale, 1e-30)  # above, inside, below the box
+    warm = sgp_fit(x, y, n_inducing=15, seed=1, iters=5, start=start)
+    x0, bounds = seen[1]
+    assert bounds == seen[0][1]  # the box stays centred on the data's point
+    assert np.array_equal(x0, [hi[0], math.log(cold.lengthscale), lo[2]])
+    assert lo[0] <= math.log(warm.s2f) <= hi[0]
+    held = sgp_fit(x, y, n_inducing=15, seed=1, iters=0, start=start)
+    assert len(seen) == 2  # iters=0 holds the clipped start, no optimizer
+    assert (held.s2f, held.noise) == (math.exp(hi[0]), math.exp(lo[2]))
+    assert held.lengthscale == pytest.approx(cold.lengthscale, rel=1e-15)
+
+
 def _fitc_at(x, yc, xu, s2f, lengthscale, noise, jitter):
     """``_fitc`` on the data rows and inducing inputs themselves."""
     return _fitc(_sqdist(xu, xu), _sqdist(xu, x), yc, s2f, lengthscale,
@@ -365,6 +410,155 @@ def test_fitc_gradient_matches_central_differences(n, m, hypers, jitter):
          - _fitc_at(x, yc, xu, *np.exp(log_h - e), jitter)[4]) / (2.0 * step)
         for e in step * np.eye(3)])
     assert np.max(np.abs(grad - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+def _fitc_by_solves(d_uu, d_uf, yc, s2f, lengthscale, noise, jitter):
+    """``_fitc`` by triangular solves against L_uu and L_b instead of
+    products with their inverses: the reference for its algebra.  Returns
+    (L_uu, L_b, c, log marginal likelihood, gradient)."""
+    m = d_uu.shape[0]
+    inv_l2 = 1.0 / lengthscale ** 2
+    kuu = s2f * np.exp(-0.5 * inv_l2 * d_uu)
+    kuu_jit = kuu + (jitter * s2f) * np.eye(m)
+    l_uu = np.linalg.cholesky(kuu_jit)
+    kuf = s2f * np.exp(-0.5 * inv_l2 * d_uf)
+    a = solve_triangular(l_uu, kuf, lower=True)
+    lam = s2f - np.einsum("mn,mn->n", a, a) + noise
+    sqrt_lam = np.sqrt(lam)
+    l_b = np.linalg.cholesky(np.eye(m) + (a / sqrt_lam) @ (a / sqrt_lam).T)
+    v = solve_triangular(l_b, a / sqrt_lam, lower=True) / sqrt_lam
+    c = v @ yc
+    log_det = np.log(lam).sum() + 2.0 * np.log(np.diag(l_b)).sum()
+    lml = -0.5 * (len(yc) * math.log(2.0 * math.pi) + log_det
+                  + yc @ (yc / lam) - c @ c)
+    alpha = yc / lam - v.T @ c
+    r = alpha ** 2 - 1.0 / lam + np.einsum("mn,mn->n", v, v)
+    h = (np.outer(solve_triangular(l_b, c, trans=1, lower=True), alpha)
+         - solve_triangular(l_b, v, trans=1, lower=True) - a * r)
+    g = solve_triangular(l_uu, h, trans=1, lower=True)
+    a_gt = a @ g.T
+    gpt = solve_triangular(l_uu, a_gt, trans=1, lower=True)
+    grad = 0.5 * np.array([
+        2.0 * np.einsum("ij,ji->", l_uu, a_gt)
+        - np.einsum("ij,ij->", gpt, kuu_jit) + s2f * r.sum(),
+        inv_l2 * (2.0 * np.einsum("mn,mn->", g, d_uf * kuf)
+                  - np.einsum("ij,ij,ij->", gpt, kuu, d_uu)),
+        noise * r.sum()])
+    return l_uu, l_b, c, lml, grad
+
+
+def _predict_by_solves(model, x, y, xs, best):
+    """Predictive mean and variance at the rows of ``xs``, and -EI and its
+    gradient at each row, by triangular solves against the factors of
+    ``_fitc_by_solves`` on the model's data: the reference for
+    ``_predictive`` and ``_neg_ei``."""
+    xu = model.inducing
+    l_uu, l_b, c = _fitc_by_solves(
+        _sqdist(xu, xu), _sqdist(xu, x), y - y.mean(), model.s2f,
+        model.lengthscale, model.noise, model.jitter)[:3]
+    alpha = solve_triangular(l_uu.T, solve_triangular(l_b.T, c, lower=False),
+                             lower=False)
+    ks = model.s2f * np.exp(-0.5 * _sqdist(xs, xu) / model.lengthscale ** 2)
+    t1 = solve_triangular(l_uu, ks.T, lower=True)
+    t2 = solve_triangular(l_b, t1, lower=True)
+    mean = ks @ alpha + y.mean()
+    var = np.maximum(model.s2f - np.einsum("mn,mn->n", t1, t1)
+                     + np.einsum("mn,mn->n", t2, t2), 0.0) + model.noise
+    wk = solve_triangular(l_uu, t1 - solve_triangular(l_b, t2, trans=1,
+                                                      lower=True),
+                          trans=1, lower=True)
+    neg_ei = []
+    for i, v in enumerate(xs):
+        sd = math.sqrt(var[i])
+        z = (mean[i] - best) / sd
+        phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        big_phi = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+        dk = ks[i][:, None] * (xu - v) / model.lengthscale ** 2
+        d_var = -2.0 * (wk[:, i] @ dk) if var[i] > model.noise else 0.0
+        neg_ei.append((-sd * (z * big_phi + phi),
+                       -(big_phi * (alpha @ dk) + phi * d_var / (2.0 * sd))))
+    return mean, var, neg_ei
+
+
+def _close(got, want, rel):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def _assert_matches_solves(x, y, model, rel):
+    yc = y - y.mean()
+    xu = model.inducing
+    args = (_sqdist(xu, xu), _sqdist(xu, x), yc, model.s2f,
+            model.lengthscale, model.noise, model.jitter)
+    lml, grad = _fitc(*args)[4:]
+    lml_ref, grad_ref = _fitc_by_solves(*args)[3:]
+    assert _close(lml, lml_ref, rel)
+    assert _close(grad, grad_ref, rel)
+    rng = np.random.default_rng(len(x))
+    xs = np.vstack([x[:5], x[:5] + 0.3 * rng.standard_normal((5, x.shape[1]))])
+    best = float(np.median(y))
+    mean_ref, var_ref, neg_ei_ref = _predict_by_solves(model, x, y, xs, best)
+    mean, var = sgp_predict(model, xs)
+    assert _close(mean, mean_ref, rel)
+    assert _close(var, var_ref, rel)
+    checked = 0
+    for v, (value_ref, grad_ref) in zip(xs, neg_ei_ref):
+        if -value_ref < 1e-6:  # far tail: EI's relative error grows as z^2
+            continue
+        value, grad = _neg_ei(v, model, best)
+        assert _close(value, value_ref, rel)
+        assert _close(grad, grad_ref, rel)
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("hypers", [(1.0, 1.0, 0.1), (2.0, 2.0, 0.05),
+                                    (1.0, 3.0, 0.01)])
+@pytest.mark.parametrize("n,m,d", [(40, 15, 3), (120, 40, 6), (200, 100, 10)])
+def test_inverse_factors_match_triangular_solves(n, m, d, hypers):
+    # K_uu's condition number is at most about 1e6 here
+    rng = np.random.default_rng(n + d)
+    x = rng.standard_normal((n, d))
+    y = np.sin(x[:, 0]) + x[:, 1] ** 2
+    model = sgp_fit(x, y, n_inducing=m, seed=0, hypers=hypers)
+    _assert_matches_solves(x, y, model, 1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("hypers", [(1.0, 1.0, 1e-9), (2.0, 0.5, 1e-3)])
+def test_inverse_factors_match_solves_on_singular_kernels(seed, hypers):
+    # every row twice: K_uu is singular but for its 1e-10 jitter
+    x, y = _duplicate_rows(seed)
+    model = sgp_fit(x, y, n_inducing=20, seed=seed, hypers=hypers)
+    assert model.jitter == JITTERS[0]
+    _assert_matches_solves(x, y, model, 1e-6)
+
+
+@st.composite
+def _lower_triangles(draw):
+    """A well-conditioned lower-triangular matrix in C, Fortran or
+    strided layout, and a diagonal index."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    l = np.tril(rng.normal(size=(n, n))) + n * np.eye(n)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    l = {"C": lambda: l, "F": lambda: np.asfortranarray(l),
+         "strided": lambda: np.repeat(l, 2, axis=1)[:, ::2]}[layout]()
+    return l, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=200)
+@given(_lower_triangles())
+def test_tri_inv_inverts_and_raises_on_zero_pivot(case):
+    l, pivot = case
+    inv = _tri_inv(l)
+    ref = solve_triangular(l, np.eye(len(l)), lower=True)
+    assert np.array_equal(inv, np.tril(inv))
+    assert np.max(np.abs(inv - ref)) <= 1e-13 * np.max(np.abs(ref))
+    l = np.array(l)
+    l[pivot, pivot] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        _tri_inv(l)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -438,41 +632,6 @@ def test_ei_objective_matches_predict_and_gradient():
     assert checked >= 10
 
 
-@st.composite
-def _triangular_systems(draw):
-    """A dense square a (only one triangle is read) in C, Fortran or
-    strided layout, a vector or matrix right-hand side, and the flags."""
-    n = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    a = rng.normal(size=(n, n)) + n * np.eye(n)
-    layout = draw(st.sampled_from(["C", "F", "strided"]))
-    a = {"C": lambda: a, "F": lambda: np.asfortranarray(a),
-         "strided": lambda: np.repeat(a, 2, axis=1)[:, ::2]}[layout]()
-    k = draw(st.sampled_from([None, 1, 3]))
-    b = rng.normal(size=n if k is None else (n, k))
-    if k is not None and draw(st.booleans()):
-        b = np.asfortranarray(b)
-    return (a, b, draw(st.booleans()), draw(st.sampled_from([0, 1])),
-            draw(st.booleans()), draw(st.integers(0, n - 1)))
-
-
-@settings(max_examples=300)
-@given(_triangular_systems())
-def test_solve_tri_matches_solve_triangular(case):
-    a, b, lower, trans, overwrite_b, pivot = case
-    ref = solve_triangular(a, b.copy(order="K"), trans=trans, lower=lower,
-                           overwrite_b=overwrite_b)
-    out = _solve_tri(a, b.copy(order="K"), trans=trans, lower=lower,
-                     overwrite_b=overwrite_b)
-    assert out.shape == ref.shape and np.array_equal(out, ref)
-    a = np.array(a, order="F" if a.flags.f_contiguous else "C")
-    a[pivot, pivot] = 0.0
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_triangular(a, b.copy(order="K"), trans=trans, lower=lower)
-    with pytest.raises(np.linalg.LinAlgError):
-        _solve_tri(a, b.copy(order="K"), trans=trans, lower=lower)
-
-
 def test_ei_nonnegative_and_monotone_in_mean():
     means = np.linspace(-5.0, 5.0, 201)
     ei = expected_improvement(means, np.full_like(means, 0.49), 0.3)
@@ -517,6 +676,8 @@ def test_bo_1d_toy_finds_optimum():
     for h, sec in zip(result.history, result.seconds, strict=True):
         assert h["s2f"] > 0 and h["lengthscale"] > 0 and h["noise"] > 0
         assert h["jitter"] in latentopt.JITTERS and h["max_ei"] >= 0.0
+        assert h["ascent_picks"] + h["random_picks"] == h["proposed"] == 5
+        assert 1 <= h["ascent_picks"] <= latentopt.EI_STARTS
         assert sec["iteration"] == h["iteration"]
         assert all(sec[k] >= 0.0 for k in ("fit", "propose", "decode",
                                            "oracle"))
@@ -525,6 +686,57 @@ def test_bo_1d_toy_finds_optimum():
                     iters=5, batch=5, seed=11, valid_fn=lambda tok: True,
                     key_fn=lambda tok: round(tok.x, 9))
     assert again.history == result.history
+
+
+def test_propose_by_ei_counts_its_ascent_picks(monkeypatch):
+    # the first ascent_picks proposals are ascent optima, the rest uniform
+    # draws, whether the batch is smaller or larger than EI_STARTS
+    ascended = []
+    minimize = latentopt.minimize
+
+    def recording_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        ascended.append(res.x)
+        return res
+
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((30, 2))
+    y = np.sin(2.0 * x[:, 0]) + x[:, 1] ** 2
+    model = sgp_fit(x, y, n_inducing=10, seed=0)
+    monkeypatch.setattr(latentopt, "minimize", recording_minimize)
+    for count in (3, 20):
+        ascended.clear()
+        picked, ascents, _ = latentopt._propose_by_ei(model, x, float(y.max()),
+                                                     count, rng)
+        assert len(ascended) == latentopt.EI_STARTS and len(picked) == count
+        from_ascent = [any(np.array_equal(p, a) for a in ascended)
+                       for p in picked]
+        assert from_ascent == [True] * ascents + [False] * (count - ascents)
+        assert 1 <= ascents <= min(count, latentopt.EI_STARTS)
+
+
+def test_bo_loop_warm_starts_each_refit(monkeypatch):
+    # iteration k >= 1 starts its fit at iteration k-1's hyperparameters;
+    # iteration 0, whose GP is initial_model, starts from the data
+    fits = []
+    sgp_fit = latentopt.sgp_fit
+
+    def recording_fit(*args, **kwargs):
+        model = sgp_fit(*args, **kwargs)
+        fits.append((kwargs.get("start"), model))
+        return model
+
+    monkeypatch.setattr(latentopt, "sgp_fit", recording_fit)
+    f = lambda x: -((x - 0.37) ** 2)
+    x0 = np.array([-1.0, -0.4, 0.2, 0.8, 1.4])[:, None]
+    result = bo_loop(x0, f(x0[:, 0]), decode_fn=lambda v: _Token(v[0]),
+                     oracle=lambda tok: f(tok.x), iters=4, batch=5, seed=11,
+                     valid_fn=lambda tok: True,
+                     key_fn=lambda tok: round(tok.x, 9))
+    assert len(fits) == 4
+    assert fits[0][0] is None and result.initial_model is fits[0][1]
+    for (start, _), (_, previous) in zip(fits[1:], fits):
+        assert start == (previous.s2f, previous.lengthscale, previous.noise)
 
 
 def test_bo_never_scores_invalid():
