@@ -123,8 +123,8 @@ def _sample_many(model, count: int, seed: int, mask_kind: str, post=None):
             return sample_graph(model.decoder, rng, lambda_n=model.lambda_n,
                                 mask_kind=mask_kind, table=model.table)
         z = sample_latent(post.mu.data, post.sigma.data, rng)
-        return sample_graph(model.decoder, rng, z=z, n=len(z),
-                            mask_kind=mask_kind, table=model.table)
+        return sample_graph(model.decoder, rng, z=z, mask_kind=mask_kind,
+                            table=model.table)
 
     return [draw(c) for c in np.random.SeedSequence(seed).spawn(count)]
 
@@ -228,15 +228,15 @@ def _corpus_molecule(corpus, index: int, flag: str):
     return corpus[index]
 
 
-def _decode_and_write(args, model, rng, n: int, dot_prefix: str,
-                      column: str, points, **meta) -> None:
-    """Decode each (value, latent) point at ``n`` nodes; write one DOT file
-    and one JSON line per point, then the run's metadata."""
+def _decode_and_write(args, model, rng, dot_prefix: str, column: str,
+                      points, **meta) -> None:
+    """Decode each (value, latent) point; write one DOT file and one JSON
+    line per point, then the run's metadata."""
     args.out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for s, (value, z) in enumerate(points):
-        g, _ = sample_graph(model.decoder, rng, z=z, n=n,
-                            mask_kind=args.mask_kind, table=model.table)
+        g, _ = sample_graph(model.decoder, rng, z=z, mask_kind=args.mask_kind,
+                            table=model.table)
         records.append({"step": s, column: value, **graph_to_obj(g)})
         (args.out_dir / f"{dot_prefix}_{s:03d}.dot").write_text(
             to_dot(g, name=f"{dot_prefix}_{s}"))
@@ -258,7 +258,7 @@ def cmd_interpolate(args) -> int:
     za = sample_latent(pa.mu.data, pa.sigma.data, rng)
     zb = sample_latent(pb.mu.data, pb.sigma.data, rng)
     weights = np.linspace(1.0, 0.0, args.steps)
-    _decode_and_write(args, model, rng, ga.n, "interp", "weight",
+    _decode_and_write(args, model, rng, "interp", "weight",
                       [(float(a), a * za + (1.0 - a) * zb) for a in weights],
                       mol_a=args.mol_a, mol_b=args.mol_b, steps=args.steps)
     print(f"interpolated {args.steps} steps between molecules"
@@ -281,7 +281,7 @@ def cmd_perturb(args) -> int:
         z = z0.copy()
         z[node] = z0[node] + a * z0[node]
         points.append((a, z))
-    _decode_and_write(args, model, rng, g0.n, "perturb", "amplitude", points,
+    _decode_and_write(args, model, rng, "perturb", "amplitude", points,
                       mol=args.mol, node=node, amplitudes=args.amplitudes)
     print(f"perturbed node {node} of molecule {args.mol}"
           f" at {len(args.amplitudes)} amplitudes")
@@ -612,7 +612,12 @@ def _complete_args(args: argparse.Namespace) -> None:
         args.mask_kind = MASK_FLAGS[args.mask]
     if args.subcommand == "perturb":
         args.amplitudes = _parse_amplitudes(args.amplitudes)
-    args.out_dir = Path(args.out_dir)
+    args.out_dir = out = Path(args.out_dir)
+    # made later by mkdir(parents=True), which needs the nearest existing
+    # ancestor to be a directory
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"--out-dir {out}: {nearest} is not a directory")
     _check_flags(vars(args))
 
 

@@ -12,12 +12,13 @@ per node scores every pair.  Scoring an edge sequence has two halves.
 ``plan_edges`` walks the mask state step by step and records, in one step
 table, which scores each edge and bond-order softmax reads; it needs no
 score, so a training batch plans every sequence before any value is
-computed.  Then one tape op scores every planned sequence of a batch over
-one score vector per graph (edge scores, then order scores), and its
-backward pass scatters every step's one-hot minus softmax into one
-gradient array.  Each sequence's value equals the composition of the
-per-step ``edge_step_logprob`` and ``weight_step_logprob``.  The sampler
-reads the same scores untaped.
+computed.  Then ``graph_logprob`` scores the planned sequences of a graph
+or a batch as one tape op over one score vector per graph (edge scores,
+then order scores), and its backward pass scatters every step's one-hot
+minus softmax into one gradient array.  The tests check each value and
+gradient bit for bit against their own per-step reference, a separate
+walk of the mask state that charges one masked softmax per step.  The
+sampler reads the same scores untaped.
 
 Sampling with a mask state guarantees the masked property by construction:
 masked pairs and orders are never proposed, a pair with no allowed order is
@@ -221,52 +222,29 @@ def _order_terms(state: MaskState, pair, order: int, n: int) -> tuple[list[int],
     return _order_index(pair, n, allowed), allowed.index(order)
 
 
-def edge_step_logprob(h: Heads, state: MaskState, pair,
-                      partition: str = "exact", L: int = 10,
-                      rng: np.random.Generator | None = None) -> T.Tensor:
-    """Log-probability that the next edge is ``pair``.
-
-    ``exact`` normalizes over every unmasked candidate.  ``negative_sampled``
-    estimates the partition as exp(true logit) + (pool/L) * sum of L distinct
-    uniformly drawn other candidates; with L at least the pool size this
-    reduces to the exact sum.
-    """
-    pair = (min(pair), max(pair))
-    n = h.types.shape[0]
-    idx, offset = _edge_terms(state, pair, n, partition, L, rng)
-    if idx is None:
-        return T.Tensor(0.0)
-    terms = T.gather_rows(h.edges, idx)
-    if offset is not None:
-        terms = terms + offset
-    return T.gather_rows(h.edges, pair[0] * n + pair[1]) - T.logsumexp(terms)
-
-
-def weight_step_logprob(h: Heads, state: MaskState, pair, order: int) -> T.Tensor:
-    """Log-probability of the bond order under the masked order softmax."""
-    idx, k = _order_terms(state, pair, order, h.types.shape[0])
-    visible = T.gather_rows(h.orders, idx)
-    return T.gather_rows(visible, k) - T.logsumexp(visible)
-
-
 @dataclass(frozen=True)
 class EdgePlan:
     """The value-free half of scoring one edge sequence of one graph: its
     edge and bond-order softmax steps, in sequence order.
 
-    One walk of the mask state along the sequence, drawing any negatives,
-    fixes which scores every step reads; the scores themselves enter only
-    in ``graph_logprob``.  Indices address the graph's score vector,
-    ``Heads.edges`` followed by ``Heads.orders`` (an order score at n^2
-    plus its ``Heads.orders`` index).  Step i charges score ``true[i]``
-    against the ``size[i]`` terms at the next ``size[i]`` entries of
-    ``idx``; ``offset[i]`` is added to every term but the first (negative
+    One walk of the mask state along the sequence of a graph of ``n``
+    nodes, drawing any negatives, fixes which scores every step reads; the
+    scores themselves enter only in ``graph_logprob``.  An exact edge step
+    normalizes over every unmasked candidate; a negative-sampled one
+    estimates the partition as exp(true score) + (pool/L) * the sum over L
+    distinct uniformly drawn other candidates, the exact sum when L covers
+    the pool.  Indices address the graph's score vector, ``Heads.edges``
+    followed by ``Heads.orders`` (an order score at n^2 plus its
+    ``Heads.orders`` index).  Step i charges score ``true[i]`` against the
+    ``size[i]`` terms at the next ``size[i]`` entries of ``idx``;
+    ``offset[i]`` is added to every term but the first (negative
     sampling's log(pool / negatives), else 0.0), and ``edge[i]`` tells an
     edge step from an order step.  A negative-sampled edge step lists the
     true pair first; a step with no other candidate is certain and has no
     entry.
     """
 
+    n: int
     true: np.ndarray
     size: np.ndarray
     idx: np.ndarray
@@ -274,10 +252,10 @@ class EdgePlan:
     edge: np.ndarray
 
     @classmethod
-    def of(cls, steps) -> "EdgePlan":
+    def of(cls, n: int, steps) -> "EdgePlan":
         """From (true, term indices, offset, is edge) tuples."""
         true, idx, offset, edge = zip(*steps) if steps else ((),) * 4
-        return cls(np.array(true, dtype=np.intp),
+        return cls(n, np.array(true, dtype=np.intp),
                    np.array([len(i) for i in idx], dtype=np.intp),
                    np.fromiter((t for i in idx for t in i), dtype=np.intp),
                    np.array(offset, dtype=np.float64),
@@ -285,11 +263,12 @@ class EdgePlan:
 
     @staticmethod
     def stack(plans, bases: np.ndarray):
-        """The steps of every plan, the indices of plan p shifted by
-        ``bases[p]``; with the plan each step belongs to."""
+        """The steps of every plan, all of one n, the indices of plan p
+        shifted by ``bases[p]``; with the plan each step belongs to."""
         owner = np.repeat(np.arange(len(plans)), [p.true.size for p in plans])
         terms = np.repeat(bases, [p.idx.size for p in plans])
         steps = EdgePlan(
+            plans[0].n,
             np.concatenate([p.true for p in plans]) + bases[owner],
             np.concatenate([p.size for p in plans]),
             np.concatenate([p.idx for p in plans]) + terms,
@@ -340,9 +319,13 @@ def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
     """Walk the mask along ``edge_sequence``, the (u, v) pairs covering
     g.bonds exactly once in the order the decoder is charged for them.
 
-    The mask calls are those of ``edge_step_logprob`` and
-    ``weight_step_logprob`` in their order, so the same negatives are
-    drawn from ``rng``.
+    Per pair: ``edge_mask``, then ``candidates`` (exact) or
+    ``candidate_count`` and ``sample_candidates`` (negative-sampled, from
+    ``rng``), then ``allowed_orders`` and ``commit``.  The per-step
+    reference in ``tests/test_decoder.py`` makes the same calls in the
+    same order, so it draws the same negatives.  A masked pair or order,
+    an unknown partition, or negative sampling without ``rng`` raises
+    ValueError.
     """
     table = table or DEFAULT_TABLE
     seq = [(min(u, v), max(u, v)) for u, v in edge_sequence]
@@ -362,7 +345,7 @@ def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
         idx = [n * n + i for i in idx]
         steps.append((idx[k], idx, 0.0, False))
         state.commit(pair, order)
-    return EdgePlan.of(steps)
+    return EdgePlan.of(n, steps)
 
 
 def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
@@ -372,13 +355,12 @@ def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
     (B = 1 and a scalar result for one graph), over the graphs' score
     vectors concatenated.  One unbuffered ``np.add.at`` adds each step's
     score[true] - logsumexp(terms) to its plan's starting total, one step
-    at a time in sequence order, as the composition of
-    ``edge_step_logprob`` and ``weight_step_logprob`` does, so it is
-    bit-identical; a plan without steps keeps its starting total.  Under
-    a tape the backward pass scatters every step's one-hot minus softmax
-    into one gradient array, each plan's in the composition's order, so a
-    lone plan's gradients are bit-identical too.  Untaped, nothing is
-    kept for it.
+    at a time in sequence order, as the tests' per-step reference does,
+    so it is bit-identical; a plan without steps keeps its starting
+    total.  Under a tape the backward pass scatters every step's one-hot
+    minus softmax into one gradient array, each plan's in the order the
+    reference's backward adds them, so a lone plan's gradients are
+    bit-identical too.  Untaped, nothing is kept for it.
     """
     graphs = total.data.size
     slot = np.arange(len(plans)) % graphs
@@ -408,33 +390,38 @@ def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
                        out.reshape(-1 if total.data.ndim else ()), backward)
 
 
-def graph_logprob(g, z: T.Tensor, edge_sequence, params: DecoderParams,
-                  partition: str = "exact", L: int = 10,
-                  mask_kind: str = "none", table: ValenceTable | None = None,
-                  rng: np.random.Generator | None = None) -> T.Tensor:
-    """Log-likelihood of a graph under one edge generation order.
+def graph_logprob(g, z: T.Tensor, plans, params: DecoderParams,
+                  partition: str = "exact",
+                  table: ValenceTable | None = None) -> T.Tensor:
+    """Log-likelihood of a graph under the edge sequences that ``plans``,
+    from ``plan_edges``, walked; one value per plan.
 
-    ``edge_sequence`` lists (u, v) pairs covering g.bonds exactly once, in
-    the order the decoder is charged for them; ``plan_edges`` walks it
-    under ``mask_kind``, drawing any negatives from ``rng``.  The edge and
-    bond-order steps are one tape op, equal to the composition of
-    ``edge_step_logprob`` and ``weight_step_logprob`` over the sequence.
-
-    For a GraphBatch of B graphs, ``z`` is B x n x D and ``edge_sequence``
-    holds EdgePlans already walked, plan p scoring graph p mod B; the
-    result has one value per plan, each bit-identical to scoring its graph
-    alone.  The walking arguments are then not used.
+    A lone graph takes one plan and gives a scalar.  For a GraphBatch of B
+    graphs, ``z`` is B x n x D and plan p scores graph p mod B; each value
+    is bit-identical to scoring its graph alone.  The edge and bond-order
+    steps of every plan are one tape op.  ``partition`` only labels the
+    call (the plans were walked under theirs); no score depends on it.
+    A plan walked for another node count, or charging another number of
+    bond orders than its graph has bonds, raises ValueError.
     """
     table = table or DEFAULT_TABLE
+    plans = list(plans)
     if isinstance(g, GraphBatch):
-        plans = list(edge_sequence)
-        if not plans or len(plans) % len(g):
+        graphs, bonds = list(g), np.array([len(gr.bonds) for gr in g])
+        if not plans or len(plans) % len(graphs):
             raise ValueError(f"{len(plans)} plans do not cover a batch of"
-                             f" {len(g)} graphs equally")
-        bonds = np.array([len(gr.bonds) for gr in g])
+                             f" {len(graphs)} graphs equally")
     else:
-        plans = [plan_edges(g, edge_sequence, partition, L, mask_kind, table, rng)]
-        bonds = len(g.bonds)
+        graphs, bonds = [g], len(g.bonds)
+        if len(plans) != 1:
+            raise ValueError(f"a lone graph takes one plan, got {len(plans)}")
+    for p, plan in enumerate(plans):
+        gr = graphs[p % len(graphs)]
+        orders = plan.edge.size - np.count_nonzero(plan.edge)
+        if plan.n != gr.n or orders != len(gr.bonds):
+            raise ValueError(f"plan {p} was walked for {plan.n} nodes and"
+                             f" {orders} bonds; its graph has {gr.n} nodes"
+                             f" and {len(gr.bonds)} bonds")
     h = heads(z, params)
     total = feature_logprob(g, h, table)
     total = total + poisson_logpmf(bonds, h.rate, h.log_rate)
@@ -489,16 +476,16 @@ def _zero_truncated_poisson(rng: np.random.Generator, lam: float) -> int:
 
 
 def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
-                 lambda_n: float | None = None, n: int | None = None,
+                 lambda_n: float | None = None,
                  z: np.ndarray | None = None, mask_kind: str = "valence",
                  table: ValenceTable | None = None) -> tuple[MolecularGraph, GenerationTrace]:
     """Draw one graph: node count, latents, atoms, edge count, edge steps.
 
-    Provide ``z`` (and implicitly n) to decode a fixed latent set, ``n`` to
-    fix the size only, or ``lambda_n`` (finite and positive) to draw n
-    from a zero-truncated Poisson.  The trace records every choice with its log-probability.
-    The heads come from ``heads``, once per draw; each step only indexes
-    them.  A non-finite head, including one from a non-finite ``z``, raises
+    Provide ``z`` (and implicitly n) to decode a fixed latent set, or
+    ``lambda_n`` (finite and positive) to draw n from a zero-truncated
+    Poisson and then z from a standard normal.  The trace records every
+    choice with its log-probability.  The heads come from ``heads``, once
+    per draw; each step only indexes them.  A non-finite head, including one from a non-finite ``z``, raises
     FloatingPointError naming the op.  An edge-count rate above numpy's
     Poisson limit (about 9.2e18) requests one edge more than there are
     pairs, which is every such count's draw, at log-probability 0.
@@ -507,17 +494,14 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
     steps: list[tuple[str, object, float]] = []
     if z is not None:
         z = np.asarray(z, dtype=np.float64)
-        if n is not None and n != z.shape[0]:
-            raise ValueError("n disagrees with z row count")
         n = z.shape[0]
-    elif n is None:
-        if lambda_n is None:
-            raise ValueError("need one of z, n, lambda_n")
+        if n < 1:
+            raise ValueError("cannot sample an empty graph")
+    elif lambda_n is None:
+        raise ValueError("need one of z, lambda_n")
+    else:
         n = _zero_truncated_poisson(rng, lambda_n)
         steps.append(("node_count", n, node_count_logpmf(n, lambda_n)))
-    if n < 1:
-        raise ValueError("cannot sample an empty graph")
-    if z is None:
         z = rng.standard_normal((n, params.D))
     h = heads(T.Tensor(z), params)
 

@@ -534,8 +534,11 @@ def bo_loop(train_embeddings, train_scores, decode_fn, oracle,
     ``seconds`` its wall times, kept apart because they differ between
     otherwise identical runs.  ``initial_model`` is the GP of iteration 0,
     ``sgp_fit(train_embeddings, train_scores, m, seed)``, so callers can
-    assess the fit on held-out rows without refitting.
+    assess the fit on held-out rows without refitting.  A ``batch`` below
+    1 raises ValueError before anything is fitted, decoded or scored.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     x = np.asarray(train_embeddings, dtype=np.float64)
     y = np.asarray(train_scores, dtype=np.float64).ravel()
     if valid_fn is None:

@@ -312,29 +312,22 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return _emit("gather_rows", ad[idx], (a,), backward)
 
 
-def logsumexp_array(ad: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Shift-stabilized log-sum-exp of a plain array, over all elements or
-    one axis; the arithmetic of ``logsumexp`` and of fused ops using it."""
+def logsumexp_array(ad: np.ndarray, axis: int) -> np.ndarray:
+    """Shift-stabilized log-sum-exp of a plain array over one axis; the
+    arithmetic of ``logsumexp`` and of fused ops using it."""
     if ad.size == 0:
         raise ValueError("logsumexp: empty input")
-    if axis is None:
-        m = ad.max()
-        return m + np.log(np.sum(np.exp(ad - m)))
     m = ad.max(axis=axis, keepdims=True)
     return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(ad - m), axis=axis))
 
 
-def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
-    """Shift-stabilized log-sum-exp over all elements or one axis."""
+def logsumexp(a: Tensor, axis: int) -> Tensor:
+    """Shift-stabilized log-sum-exp over one axis."""
     ad = a.data
     out = logsumexp_array(ad, axis)
-    if axis is None:
-        def backward(g):
-            return (g * np.exp(ad - out),)
 
-    else:
-        def backward(g):
-            return (np.expand_dims(g, axis) * np.exp(ad - np.expand_dims(out, axis)),)
+    def backward(g):
+        return (np.expand_dims(g, axis) * np.exp(ad - np.expand_dims(out, axis)),)
 
     return _emit("logsumexp", out, (a,), backward)
 

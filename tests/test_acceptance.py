@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import molvae.tensor as T
-from molvae.decoder import (edge_step_logprob, graph_logprob, heads,
-                            init_decoder, poisson_logpmf, sample_graph)
+from molvae.decoder import (graph_logprob, heads, init_decoder, plan_edges,
+                            poisson_logpmf, sample_graph)
 from molvae.encoder import posterior
 from molvae.latentopt import (bo_loop, expected_improvement,
                               make_molecule_decoder, molecule_embedding,
@@ -136,8 +136,9 @@ def test_03_posterior_exactly_permutation_invariant(capfd):
         kl_base = kl_term(post, hyper.D).item()
         z = post.mu.data.copy()
         seq = bfs_edge_order(g, 0, np.random.default_rng(71), "uniform")
-        lp_base = graph_logprob(g, T.Tensor(z), seq, model.decoder,
-                                partition="exact", mask_kind="valence",
+        plan = plan_edges(g, seq, "exact", mask_kind="valence",
+                          table=model.table)
+        lp_base = graph_logprob(g, T.Tensor(z), [plan], model.decoder,
                                 table=model.table).item()
         for _ in range(100):
             perm = [int(p) for p in rng.permutation(g.n)]
@@ -151,9 +152,9 @@ def test_03_posterior_exactly_permutation_invariant(capfd):
             z2 = np.empty_like(z)
             for u in range(g.n):
                 z2[perm[u]] = z[u]
-            seq2 = [(perm[u], perm[v]) for u, v in seq]
-            lp = graph_logprob(gp, T.Tensor(z2), seq2, model.decoder,
-                               partition="exact", mask_kind="valence",
+            plan2 = plan_edges(gp, [(perm[u], perm[v]) for u, v in seq],
+                               "exact", mask_kind="valence", table=model.table)
+            lp = graph_logprob(gp, T.Tensor(z2), [plan2], model.decoder,
                                table=model.table).item()
             worst_lp = max(worst_lp, abs(lp - lp_base))
     ok = moments_exact and worst_kl <= 1e-9 and worst_lp <= 1e-9
@@ -197,13 +198,16 @@ def test_05_negative_sampling_partition_and_scaling(capfd):
         shift = logits.max()
         exact = shift + math.log(np.exp(logits - shift).sum())
         s_true = logits[cands.index(pair)]
+        # the plan's first step is this edge step: under mask "none" a
+        # fresh state's candidates do not depend on the graph's bonds
+        g_pair = MolecularGraph(g.atom_types, (g.bonds[0],))
+        scores = np.concatenate((h.edges.data, h.orders.data))
         trial_rng = np.random.default_rng(300 + i)
         est = np.empty(1000)
         for t in range(1000):
-            lp = edge_step_logprob(h, state, pair,
-                                   partition="negative_sampled", L=10,
-                                   rng=trial_rng).item()
-            est[t] = s_true - lp
+            plan = plan_edges(g_pair, [pair], "negative_sampled", L=10,
+                              rng=trial_rng)
+            est[t] = s_true - plan.logprobs(scores, taped=False)[0][0]
         worst_rel = max(worst_rel, abs(est.mean() - exact) / abs(exact))
 
     def path(n):

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 import molvae
-from molvae import latentopt
+from molvae import cli, latentopt
 from molvae.cli import main, ranking_agreement
 from molvae.encoder import posterior
 from molvae.latentopt import molecule_embedding, proxy_property
 from molvae.training import load_checkpoint
-from molvae.molgraph import (DEFAULT_TABLE, parse_corpus, random_molecule,
-                             write_corpus)
+from molvae.molgraph import (DEFAULT_TABLE, MolecularGraph, parse_corpus,
+                             random_molecule, write_corpus)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,29 @@ def test_train_malformed_corpus(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["train", "sample"])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_dir_naming_a_file_exits_2(workspace, tmp_path, capsys,
+                                       monkeypatch, subcommand, under):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the --out-dir check")
+
+    monkeypatch.setattr(cli, "train", unreachable)
+    monkeypatch.setattr(cli, "_load_corpus", unreachable)
+    monkeypatch.setattr(cli, "_load_checkpoint", unreachable)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out = blocker / "run" if under else blocker
+    argv = {"train": ["train", "--corpus", workspace["corpus_path"],
+                      "--seed", "0"],
+            "sample": ["sample", "--corpus", workspace["corpus_path"],
+                       "--checkpoint", workspace["checkpoint"],
+                       "--seed", "0"]}[subcommand]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert blocker.read_text() == "a file\n"
 
 
 def test_sample_outputs(workspace, tmp_path):
@@ -372,6 +395,24 @@ def test_bo_held_out_fit_is_the_training_fit(workspace, tmp_path):
                                                 y[test_ids])))
     assert sgp["held_out_rmse"] == rmse
     assert sgp["held_out_loglik"] == loglik
+
+
+def test_bo_on_identical_molecules(workspace, tmp_path):
+    """A corpus of one molecule repeated gives the GP identical inputs and
+    constant scores; the run still completes on some jitter rung."""
+    corpus = tmp_path / "same.jsonl"
+    write_corpus([MolecularGraph(("C", "C", "O"), ((0, 1, 1), (1, 2, 1)))] * 12,
+                 corpus)
+    out = tmp_path / "out"
+    rc = main(["bo", "--corpus", str(corpus),
+               "--checkpoint", workspace["checkpoint"], "--seed", "2",
+               "--iters", "2", "--batch-size", "5", "--out-dir", str(out)])
+    assert rc == 0
+    trace = json.loads((out / "bo_trace.json").read_text())
+    assert math.isfinite(trace["sgp"]["held_out_loglik"])
+    assert math.isfinite(trace["sgp"]["held_out_rmse"])
+    assert len(trace["history"]) == 2
+    assert all(h["jitter"] in latentopt.JITTERS for h in trace["history"])
 
 
 def test_bo_needs_an_iteration(workspace, tmp_path):

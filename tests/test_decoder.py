@@ -7,10 +7,9 @@ import pytest
 
 from molvae import decoder
 from molvae import tensor as T
-from molvae.decoder import (edge_count_dist, edge_step_logprob,
-                            feature_logprob, graph_logprob, heads,
-                            init_decoder, plan_edges, poisson_logpmf,
-                            sample_graph, type_logits, weight_step_logprob)
+from molvae.decoder import (edge_count_dist, feature_logprob, graph_logprob,
+                            heads, init_decoder, plan_edges, poisson_logpmf,
+                            sample_graph, type_logits)
 from molvae.masks import MASK_KINDS, MaskState, make_state
 from molvae.molgraph import (DEFAULT_TABLE, GraphBatch, MolecularGraph,
                              valence_ok)
@@ -134,8 +133,8 @@ def test_trace_logp_matches_graph_logprob():
             continue
         hits += 1
         seq = [(u, v) for u, v, _ in trace.edges]
-        lp = graph_logprob(g, T.Tensor(z), seq, params, partition="exact",
-                           mask_kind="valence")
+        plan = plan_edges(g, seq, "exact", mask_kind="valence")
+        lp = graph_logprob(g, T.Tensor(z), [plan], params)
         assert abs(lp.item() - trace.total_logprob) < 1e-9
     assert hits >= 5
 
@@ -198,7 +197,8 @@ def test_sample_graph_reports_early_stop():
     rng = np.random.default_rng(7)
     stopped = 0
     for _ in range(30):
-        g, trace = sample_graph(params, rng, n=3, mask_kind="valence")
+        g, trace = sample_graph(params, rng, z=rng.standard_normal((3, 3)),
+                                mask_kind="valence")
         if trace.early_stopped:
             stopped += 1
             assert len(trace.edges) < trace.edge_count
@@ -328,7 +328,7 @@ def test_node_count_law_sums_to_one(lam):
 # the sampler against the taped reference
 
 
-def _taped_sample_graph(params, rng, *, lambda_n=None, n=None, z=None,
+def _taped_sample_graph(params, rng, *, lambda_n=None, z=None,
                         mask_kind="valence", table=None):
     """The sampler with its type and rate heads from the taped
     ``type_logits`` and ``edge_count_dist``, its pair heads from the
@@ -344,14 +344,13 @@ def _taped_sample_graph(params, rng, *, lambda_n=None, n=None, z=None,
     if z is not None:
         z = np.asarray(z, dtype=np.float64)
         n = z.shape[0]
-    elif n is None:
+    else:
         while True:
             n = int(rng.poisson(lambda_n))
             if n >= 1:
                 break
         steps.append(("node_count", n, n * math.log(lambda_n) - lambda_n
                       - math.lgamma(n + 1) - math.log1p(-math.exp(-lambda_n))))
-    if z is None:
         z = rng.standard_normal((n, params.D))
     zt = T.Tensor(z)
     tl = type_logits(zt, params).data
@@ -427,14 +426,20 @@ def test_sampler_matches_taped_reference(monkeypatch, mask_kind, entry):
     params = _with_biases(_params(D=4, seed=61), seed=62)
     params.b_count_out = T.Tensor(2.0)  # enough edges to saturate masks
     kinds = set()
+
+    def size_source(rng, seed):
+        if entry == "lambda_n":
+            return {"lambda_n": 6.0}
+        if entry == "n":  # a fixed size, z from the draw's own stream
+            return {"z": rng.standard_normal((5, 4))}
+        return {"z": np.random.default_rng(10_000 + seed).standard_normal((6, 4))}
+
     for seed in range(100):
-        kw = {"lambda_n": {"lambda_n": 6.0}, "n": {"n": 5},
-              "z": {"z": np.random.default_rng(10_000 + seed)
-                    .standard_normal((6, 4))}}[entry]
-        g, trace = sample_graph(params, np.random.default_rng(seed),
-                                mask_kind=mask_kind, **kw)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        g, trace = sample_graph(params, rng, mask_kind=mask_kind,
+                                **size_source(rng, seed))
         ref, ref_steps, ref_early = _taped_sample_graph(
-            params, np.random.default_rng(seed), mask_kind=mask_kind, **kw)
+            params, ref_rng, mask_kind=mask_kind, **size_source(ref_rng, seed))
         assert g == ref
         assert trace.early_stopped == ref_early
         assert [s[:2] for s in trace.steps] == [s[:2] for s in ref_steps]
@@ -478,7 +483,8 @@ def test_sampler_rejects_non_finite_heads():
     params = _params(D=3, seed=71)
     params.b_count_out = T.Tensor(800.0)
     with pytest.raises(FloatingPointError, match="overflow in op 'exp'"):
-        sample_graph(params, np.random.default_rng(0), n=4)
+        sample_graph(params, np.random.default_rng(0),
+                     z=np.random.default_rng(0).standard_normal((4, 3)))
 
 
 @pytest.mark.parametrize("mask_kind", ["none", "valence"])
@@ -490,7 +496,8 @@ def test_sampler_edge_rate_above_poisson_limit(mask_kind, b_count_out):
     params.b_count_out = T.Tensor(b_count_out)
     above = 0
     for seed in range(20):
-        g, trace = sample_graph(params, np.random.default_rng(seed), n=6,
+        rng = np.random.default_rng(seed)
+        g, trace = sample_graph(params, rng, z=rng.standard_normal((6, 4)),
                                 mask_kind=mask_kind)
         assert trace.steps[-1][0] == "stop" and trace.early_stopped
         if mask_kind == "valence":
@@ -531,26 +538,32 @@ def test_sampler_emits_only_the_heads(monkeypatch):
 # partition estimates
 
 
+def _one_bond(n, pair):
+    return MolecularGraph(("C",) * n, ((*pair, 1),))
+
+
 def test_negative_sampled_matches_exact_when_pool_covered():
     params = _params(D=4, seed=23)
     z = _zt(5, 4, seed=2)
-    state = make_state("none", n=5)
-    rng = np.random.default_rng(0)
-    h = heads(z, params)
-    exact = edge_step_logprob(h, state, (0, 1), partition="exact")
-    est = edge_step_logprob(h, state, (0, 1),
-                            partition="negative_sampled", L=50, rng=rng)
-    assert abs(exact.item() - est.item()) < 1e-12
+    g = _one_bond(5, (0, 1))
+    exact = plan_edges(g, [(0, 1)], "exact")
+    est = plan_edges(g, [(0, 1)], "negative_sampled", L=50,
+                     rng=np.random.default_rng(0))
+    assert est.size[0] == exact.size[0] == 10
+    assert abs(graph_logprob(g, z, [exact], params).item()
+               - graph_logprob(g, z, [est], params).item()) < 1e-12
 
 
 def test_negative_sampled_single_candidate_is_certain():
     params = _params(D=3, seed=29)
     z = _zt(2, 3, seed=4)
-    state = make_state("none", n=2)
-    est = edge_step_logprob(heads(z, params), state, (0, 1),
-                            partition="negative_sampled", L=10,
-                            rng=np.random.default_rng(1))
-    assert est.item() == 0.0
+    g = _one_bond(2, (0, 1))
+    est = plan_edges(g, [(0, 1)], "negative_sampled", L=10,
+                     rng=np.random.default_rng(1))
+    assert not est.edge.any()  # no edge step: it is certain
+    exact = plan_edges(g, [(0, 1)], "exact")
+    assert (graph_logprob(g, z, [est], params).item()
+            == graph_logprob(g, z, [exact], params).item())
 
 
 def test_negative_sampled_mean_brackets_exact():
@@ -558,14 +571,14 @@ def test_negative_sampled_mean_brackets_exact():
     # above the exact one on average; it should also sit close by.
     params = _params(D=4, seed=31)
     z = _zt(8, 4, seed=6)
-    state = make_state("none", n=8)
-    h = heads(z, params)
-    exact = edge_step_logprob(h, state, (2, 5), partition="exact").item()
+    g = _one_bond(8, (2, 5))
+    exact = graph_logprob(g, z, [plan_edges(g, [(2, 5)], "exact")],
+                          params).item()
     rng = np.random.default_rng(7)
-    draws = [edge_step_logprob(h, state, (2, 5),
-                               partition="negative_sampled", L=6,
-                               rng=rng).item()
+    plans = [plan_edges(g, [(2, 5)], "negative_sampled", L=6, rng=rng)
              for _ in range(3000)]
+    draws = graph_logprob(GraphBatch([g]), T.Tensor(z.data[None]), plans,
+                          params).data
     mean = float(np.mean(draws))
     se = float(np.std(draws)) / math.sqrt(len(draws))
     assert mean >= exact - 4 * se
@@ -581,10 +594,10 @@ def test_graph_logprob_gradients_exact():
     g = MolecularGraph(("C", "N", "C"), ((0, 1, 1), (1, 2, 2)))
     z0 = np.random.default_rng(8).standard_normal((3, 3))
     plist = [t for _, t in params.tensors()] + [T.Tensor(z0)]
+    plan = plan_edges(g, [(0, 1), (1, 2)], "exact", mask_kind="valence")
 
     def loss_fn():
-        return graph_logprob(g, plist[-1], [(0, 1), (1, 2)], params,
-                             partition="exact", mask_kind="valence")
+        return graph_logprob(g, plist[-1], [plan], params)
 
     err = T.finite_diff_check(loss_fn, plist)
     assert err < 1e-6
@@ -596,12 +609,13 @@ def test_graph_logprob_gradients_negative_sampled():
                        ((0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)))
     z0 = np.random.default_rng(9).standard_normal((4, 3))
     plist = [t for _, t in params.tensors()] + [T.Tensor(z0)]
+    # the plan pins the negative draws, so the loss is a fixed smooth function
+    plan = plan_edges(g, [(0, 1), (1, 2), (2, 3), (0, 3)], "negative_sampled",
+                      L=2, rng=np.random.default_rng(3))
 
     def loss_fn():
-        # pin the negative draws so the loss is a fixed smooth function
-        return graph_logprob(g, plist[-1], [(0, 1), (1, 2), (2, 3), (0, 3)],
-                             params, partition="negative_sampled", L=2,
-                             mask_kind="none", rng=np.random.default_rng(3))
+        return graph_logprob(g, plist[-1], [plan], params,
+                             partition="negative_sampled")
 
     err = T.finite_diff_check(loss_fn, plist)
     assert err < 1e-6
@@ -611,8 +625,41 @@ def test_graph_logprob_gradients_negative_sampled():
 # the fused edge-sequence op against the per-step composition
 
 
+def edge_step_logprob(h, state, pair, partition="exact", L=10, rng=None):
+    """Reference: log-probability that the next edge is ``pair``, one
+    masked softmax of gathered tape ops, from its own walk of ``state``.
+
+    ``exact`` normalizes over every unmasked candidate.  ``negative_sampled``
+    normalizes over the true pair and L distinct uniformly drawn other
+    candidates, each of those weighted by pool / L; a step with no other
+    candidate is certain.
+    """
+    n = h.types.shape[0]
+    assert state.edge_mask(pair)
+    if partition == "exact":
+        terms = T.gather_rows(h.edges, [u * n + v for u, v in state.candidates()])
+    else:
+        pool = state.candidate_count(exclude=pair)
+        negs = state.sample_candidates(rng, L, exclude=pair)
+        if not negs:
+            return T.Tensor(0.0)
+        offset = np.full(len(negs) + 1, math.log(pool / len(negs)))
+        offset[0] = 0.0
+        terms = T.gather_rows(h.edges, [u * n + v for u, v in [pair] + negs]) + offset
+    return T.gather_rows(h.edges, pair[0] * n + pair[1]) - T.logsumexp(terms, axis=0)
+
+
+def weight_step_logprob(h, state, pair, order):
+    """Reference: log-probability of the bond order under the masked order
+    softmax; order m of pair (u, v) scores at 3 (u n + v) + m - 1."""
+    allowed = state.allowed_orders(pair)
+    base = (pair[0] * h.types.shape[0] + pair[1]) * 3 - 1
+    visible = T.gather_rows(h.orders, [base + m for m in allowed])
+    return T.gather_rows(visible, allowed.index(order)) - T.logsumexp(visible, axis=0)
+
+
 def _composed_logprob(g, z, seq, params, partition, L, mask_kind, rng):
-    """graph_logprob as a composition of the per-step tape ops."""
+    """graph_logprob as a composition of the per-step reference ops."""
     h = heads(z, params)
     total = feature_logprob(g, h) + poisson_logpmf(len(seq), h.rate, h.log_rate)
     state = decoder.make_state(mask_kind, atom_types=g.atom_types,
@@ -650,9 +697,9 @@ def test_graph_logprob_equals_step_composition(monkeypatch, mask_kind, partition
         seq = [seq[i] for i in rng.permutation(len(seq))]
         plist = [t for _, t in params.tensors()] + [T.Tensor(z0)]
         fused_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        plan = plan_edges(g, seq, partition, 3, sample_kind, rng=fused_rng)
         value, grads = _taped(lambda: graph_logprob(
-            g, plist[-1], seq, params, partition=partition, L=3,
-            mask_kind=sample_kind, rng=fused_rng), plist)
+            g, plist[-1], [plan], params, partition=partition), plist)
         ref, ref_grads = _taped(lambda: _composed_logprob(
             g, plist[-1], seq, params, partition, 3, sample_kind, ref_rng), plist)
         # bit for bit: the fused backward sums in the composition's order
@@ -748,10 +795,10 @@ def test_graph_logprob_tape_length_is_independent_of_bonds():
     lengths = []
     for g in (sparse, dense):
         for partition in ("exact", "negative_sampled"):
+            plan = plan_edges(g, [(u, v) for u, v, _ in g.bonds], partition,
+                              mask_kind="valence", rng=np.random.default_rng(0))
             with T.Tape() as tape:
-                graph_logprob(g, z, [(u, v) for u, v, _ in g.bonds], params,
-                              partition=partition, mask_kind="valence",
-                              rng=np.random.default_rng(0))
+                graph_logprob(g, z, [plan], params, partition=partition)
             lengths.append(len(tape))
     assert len(set(lengths)) == 1
 
@@ -761,7 +808,7 @@ def test_graph_logprob_untaped_keeps_no_backward_buffers(monkeypatch):
     z = _zt(5, 4, seed=14)
     g = MolecularGraph(("C", "C", "O", "N", "C"),
                        ((0, 1, 2), (1, 2, 1), (1, 3, 1), (3, 4, 1)))
-    seq = [(0, 1), (1, 2), (1, 3), (3, 4)]
+    plan = plan_edges(g, [(0, 1), (1, 2), (1, 3), (3, 4)], mask_kind="valence")
     backwards = []
     custom_op = T.custom_op
 
@@ -772,8 +819,8 @@ def test_graph_logprob_untaped_keeps_no_backward_buffers(monkeypatch):
 
     monkeypatch.setattr(T, "custom_op", capturing_op)
     with T.Tape() as tape:
-        taped = graph_logprob(g, z, seq, params, mask_kind="valence")
-    untaped = graph_logprob(g, z, seq, params, mask_kind="valence")
+        taped = graph_logprob(g, z, [plan], params)
+    untaped = graph_logprob(g, z, [plan], params)
     assert untaped.item() == taped.item()
     assert len(tape) > 0 and not T.recording()
     (_, ge_taped, go_taped), (_, ge, go) = (b(np.ones(())) for b in backwards)
@@ -790,7 +837,8 @@ def test_graph_logprob_invariant_under_relabeling():
     g = MolecularGraph(("C", "O", "N", "C"), ((0, 1, 1), (1, 2, 1), (2, 3, 2)))
     z = np.random.default_rng(10).standard_normal((4, 4))
     seq = [(0, 1), (1, 2), (2, 3)]
-    base = graph_logprob(g, T.Tensor(z), seq, params, mask_kind="valence").item()
+    plan = plan_edges(g, seq, mask_kind="valence")
+    base = graph_logprob(g, T.Tensor(z), [plan], params).item()
     rng = np.random.default_rng(11)
     for _ in range(10):
         perm = rng.permutation(4)
@@ -798,9 +846,9 @@ def test_graph_logprob_invariant_under_relabeling():
         z2 = np.empty_like(z)
         for old in range(4):
             z2[perm[old]] = z[old]
-        seq2 = [(perm[u], perm[v]) for u, v in seq]
-        val = graph_logprob(g2, T.Tensor(z2), seq2, params,
-                            mask_kind="valence").item()
+        plan2 = plan_edges(g2, [(perm[u], perm[v]) for u, v in seq],
+                           mask_kind="valence")
+        val = graph_logprob(g2, T.Tensor(z2), [plan2], params).item()
         assert abs(val - base) < 1e-9
 
 
@@ -823,20 +871,61 @@ def test_poisson_logpmf_matches_scipy():
 
 
 def test_error_paths():
-    params = _params(D=3, seed=53)
     g = MolecularGraph(("C", "C"), ((0, 1, 1),))
-    z = T.Tensor(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        graph_logprob(g, z, [], params)  # sequence misses the bond
-    with pytest.raises(ValueError):
-        graph_logprob(g, z, [(0, 1), (0, 1)], params)
-    state = make_state("valence", atom_types=("H", "H"), table=DEFAULT_TABLE)
-    with pytest.raises(ValueError):
-        weight_step_logprob(heads(z, params), state, (0, 1), 3)  # H-H triple bond
-    with pytest.raises(ValueError):
-        edge_step_logprob(heads(z, params), state, (0, 1), partition="bogus")
-    with pytest.raises(ValueError):
-        edge_step_logprob(heads(z, params), state, (0, 1),
-                          partition="negative_sampled")
-    with pytest.raises(ValueError):
-        sample_graph(params, np.random.default_rng(0))  # no size source
+    with pytest.raises(ValueError, match="exactly once"):
+        plan_edges(g, [])  # sequence misses the bond
+    with pytest.raises(ValueError, match="exactly once"):
+        plan_edges(g, [(0, 1), (0, 1)])
+    with pytest.raises(ValueError, match="order 3 masked"):
+        plan_edges(MolecularGraph(("H", "H"), ((0, 1, 3),)), [(0, 1)],
+                   mask_kind="valence")  # H-H triple bond
+    with pytest.raises(ValueError, match="partition"):
+        plan_edges(g, [(0, 1)], partition="bogus")
+    with pytest.raises(ValueError, match="needs an rng"):
+        plan_edges(g, [(0, 1)], partition="negative_sampled")
+    params = _params(D=3, seed=53)
+    with pytest.raises(ValueError, match="need one of"):
+        sample_graph(params, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="empty graph"):
+        sample_graph(params, np.random.default_rng(0), z=np.zeros((0, 3)))
+
+
+def _path(n):
+    return MolecularGraph(("C",) * n, tuple((u, u + 1, 1) for u in range(n - 1)))
+
+
+def test_graph_logprob_rejects_a_plan_of_another_graph():
+    params = _params(D=3, seed=97)
+    z = _zt(6, 3, seed=15)
+    g = _path(6)  # five bonds
+    seq = [(u, u + 1) for u in range(5)]
+    assert np.isfinite(graph_logprob(g, z, [plan_edges(g, seq)], params).item())
+    ring5 = MolecularGraph(("C",) * 5, _path(5).bonds + ((0, 4, 1),))
+    five = plan_edges(ring5, seq[:4] + [(0, 4)])  # five bonds, but n = 5
+    with pytest.raises(ValueError, match="plan 0 was walked for 5 nodes and"
+                                         " 5 bonds; its graph has 6 nodes"):
+        graph_logprob(g, z, [five], params)
+    one_bond = plan_edges(_one_bond(6, (0, 1)), [(0, 1)])
+    with pytest.raises(ValueError, match="plan 0 .* 1 bonds; its graph has 6"
+                                         " nodes and 5 bonds"):
+        graph_logprob(g, z, [one_bond], params)
+    with pytest.raises(ValueError, match="one plan, got 2"):
+        graph_logprob(g, z, [plan_edges(g, seq)] * 2, params)
+    with pytest.raises(ValueError, match="one plan, got 0"):
+        graph_logprob(g, z, [], params)
+
+
+def test_graph_logprob_rejects_plans_that_do_not_fit_a_batch():
+    params = _params(D=3, seed=98)
+    batch = GraphBatch([_path(4), _one_bond(4, (1, 3))])
+    z = T.Tensor(np.random.default_rng(16).standard_normal((2, 4, 3)))
+    plans = [plan_edges(_path(4), [(0, 1), (1, 2), (2, 3)]),
+             plan_edges(_one_bond(4, (1, 3)), [(1, 3)])]
+    assert graph_logprob(batch, z, plans * 2, params).shape == (4,)
+    with pytest.raises(ValueError, match="3 plans do not cover a batch of 2"):
+        graph_logprob(batch, z, plans + plans[:1], params)
+    with pytest.raises(ValueError, match="0 plans"):
+        graph_logprob(batch, z, [], params)
+    with pytest.raises(ValueError, match="plan 1 was walked for 4 nodes and 3"
+                                         " bonds; its graph has 4 nodes and 1"):
+        graph_logprob(batch, z, plans[:1] * 2, params)

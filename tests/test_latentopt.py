@@ -739,6 +739,19 @@ def test_bo_loop_warm_starts_each_refit(monkeypatch):
         assert start == (previous.s2f, previous.lengthscale, previous.noise)
 
 
+@pytest.mark.parametrize("batch", [0, -3])
+def test_bo_loop_rejects_an_empty_batch(monkeypatch, batch):
+    calls = []
+    monkeypatch.setattr(latentopt, "sgp_fit",
+                        lambda *a, **k: calls.append("fit"))
+    x0 = np.array([-1.0, -0.4, 0.2, 0.8, 1.4])[:, None]
+    with pytest.raises(ValueError, match="batch"):
+        bo_loop(x0, -x0[:, 0] ** 2, decode_fn=lambda v: calls.append("decode"),
+                oracle=lambda tok: calls.append("oracle"), iters=2,
+                batch=batch, seed=11)
+    assert calls == []
+
+
 def test_bo_never_scores_invalid():
     valid = random_molecule(np.random.default_rng(0), 6, DEFAULT_TABLE)
     invalid = MolecularGraph(("O", "C"), [(0, 1, 3)])   # oxygen over valence

@@ -10,7 +10,8 @@ import pytest
 
 from molvae import tensor as T
 from molvae import training
-from molvae.decoder import graph_logprob, node_count_logpmf, sample_graph
+from molvae.decoder import (graph_logprob, node_count_logpmf, plan_edges,
+                            sample_graph)
 from molvae.encoder import Posterior
 from molvae.molgraph import (DEFAULT_TABLE, GraphBatch, MolecularGraph, ValenceTable,
                              random_molecule)
@@ -342,8 +343,10 @@ def test_elbo_lower_bounds_log_marginal():
     spot = np.random.default_rng(30).standard_normal((5, 3))
     for z0, z1, z2 in spot:
         zt = T.Tensor(np.array([[z0], [z1], [z2]]))
-        lps = [graph_logprob(g, zt, seq, model.decoder, partition="exact",
-                             mask_kind="valence", table=table).item()
+        lps = [graph_logprob(g, zt, [plan_edges(g, seq, "exact",
+                                                mask_kind="valence",
+                                                table=table)],
+                             model.decoder, table=table).item()
                for seq in ([(0, 1), (1, 2)], [(1, 2), (0, 1)])]
         hand = _path3_log_joint(model, np.array([z0]), np.array([z1]),
                                 np.array([z2]))[0]
