@@ -9,16 +9,21 @@ training (exact or negative-sampled edge partitions) and untaped scoring.
 Every head is defined once, in ``heads``, and evaluated once per graph:
 the edge and bond-order heads are linear in z_u + z_v, so one projection
 per node scores every pair.  Scoring an edge sequence has two halves.
-``plan_edges`` walks the mask state step by step and records, in one step
-table, which scores each edge and bond-order softmax reads; it needs no
-score, so a training batch plans every sequence before any value is
-computed.  Then ``graph_logprob`` scores the planned sequences of a graph
-or a batch as one tape op over one score vector per graph (edge scores,
-then order scores), and its backward pass scatters every step's one-hot
-minus softmax into one gradient array.  The tests check each value and
-gradient bit for bit against their own per-step reference, a separate
-walk of the mask state that charges one masked softmax per step.  The
-sampler reads the same scores untaped.
+``plan_edges`` walks the mask state along the sequence and records which
+scores every softmax step reads; it needs no score, so a training batch
+plans every sequence before any value is computed.  Then
+``graph_logprob`` scores the planned sequences of a graph or a batch as
+one tape op over one score vector per graph (edge scores, then order
+scores).  Bond-order steps and negative-sampled edge steps are rows of one
+step table.  Exact edge steps are not listed step by step: under every
+built-in mask kind a pair that leaves the candidate set never returns, so the walk
+lists the candidates once and records the step at which each one closes,
+and one sort by close step plus one reverse log-sum-exp gives every
+step's partition.  The tests check each value and gradient against their
+own per-step reference, a separate walk of the mask state that charges
+one masked softmax per step: bit for bit for negative-sampled sequences,
+within 1e-12 relative for exact ones.  The sampler reads the same scores
+untaped.
 
 Sampling with a mask state guarantees the masked property by construction:
 masked pairs and orders are never proposed, a pair with no allowed order is
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -191,19 +197,11 @@ def feature_logprob(g, h: Heads,
     return T.sum_axis(T.reshape(own, lead + (g.n,)), -1) - T.sum_axis(norm, -1)
 
 
-def _edge_terms(state: MaskState, pair, n: int, partition: str, L: int,
-                rng: np.random.Generator | None):
-    """Flat edge-score indices of one edge step's softmax terms, with the
-    constant added to each term (None for ``exact``); (None, None) when
-    negative sampling finds no other candidate, a certain step."""
-    if not state.edge_mask(pair):
-        raise ValueError(f"edge {pair} is masked or already used")
-    if partition == "exact":
-        return _edge_index(state.candidates(), n), None
-    if partition != "negative_sampled":
-        raise ValueError(f"unknown partition mode {partition!r}")
-    if rng is None:
-        raise ValueError("negative_sampled partition needs an rng")
+def _edge_terms(state: MaskState, pair, n: int, L: int,
+                rng: np.random.Generator):
+    """Flat edge-score indices of one negative-sampled edge step's softmax
+    terms, the true pair first, with the constant added to each term;
+    (None, None) when no other candidate remains, a certain step."""
     pool = state.candidate_count(exclude=pair)
     negs = state.sample_candidates(rng, L, exclude=pair)
     if not negs:
@@ -222,26 +220,60 @@ def _order_terms(state: MaskState, pair, order: int, n: int) -> tuple[list[int],
     return _order_index(pair, n, allowed), allowed.index(order)
 
 
+def _close_steps(state: MaskState, steps) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The candidates before the first of ``steps``, in ``candidates()``
+    order, and the step at which each one closes.
+
+    ``steps`` yields the (pair, order) commits of one edge sequence; each
+    is committed to ``state`` here, and then only the candidates still
+    open are tested again.  A candidate's close step is the first step at
+    which it is no longer proposable (the number of steps if none): the
+    pair generated at step t closes at t + 1.  Under every built-in mask
+    kind a pair that leaves the candidate set never returns, so the
+    candidates of step t are those whose close step exceeds t, in the same
+    order.
+    """
+    cands = state.candidates()
+    close = np.zeros(len(cands), dtype=np.intp)
+    live, at = cands, np.arange(len(cands))
+    t = 0
+    for t, (pair, order) in enumerate(steps, 1):
+        state.commit(pair, order)
+        keep = np.fromiter(map(state.edge_mask, live), dtype=bool, count=len(live))
+        close[at[~keep]] = t
+        live, at = list(compress(live, keep)), at[keep]
+    close[at] = t
+    return cands, close
+
+
 @dataclass(frozen=True)
 class EdgePlan:
-    """The value-free half of scoring one edge sequence of one graph: its
-    edge and bond-order softmax steps, in sequence order.
+    """The value-free half of scoring one edge sequence of one graph of
+    ``n`` nodes: its edge and bond-order softmax steps.
 
-    One walk of the mask state along the sequence of a graph of ``n``
-    nodes, drawing any negatives, fixes which scores every step reads; the
-    scores themselves enter only in ``graph_logprob``.  An exact edge step
-    normalizes over every unmasked candidate; a negative-sampled one
-    estimates the partition as exp(true score) + (pool/L) * the sum over L
-    distinct uniformly drawn other candidates, the exact sum when L covers
-    the pool.  Indices address the graph's score vector, ``Heads.edges``
-    followed by ``Heads.orders`` (an order score at n^2 plus its
-    ``Heads.orders`` index).  Step i charges score ``true[i]`` against the
+    One walk of the mask state along the sequence, drawing any negatives,
+    fixes which scores every step reads; the scores themselves enter only
+    in ``graph_logprob``.  Indices address the graph's score vector,
+    ``Heads.edges`` followed by ``Heads.orders`` (an order score at n^2
+    plus its ``Heads.orders`` index).
+
+    Bond-order steps and negative-sampled edge steps form a step table, in
+    sequence order.  Step i charges score ``true[i]`` against the
     ``size[i]`` terms at the next ``size[i]`` entries of ``idx``;
-    ``offset[i]`` is added to every term but the first (negative
-    sampling's log(pool / negatives), else 0.0), and ``edge[i]`` tells an
-    edge step from an order step.  A negative-sampled edge step lists the
-    true pair first; a step with no other candidate is certain and has no
-    entry.
+    ``offset[i]`` is added to every term but the first, and ``edge[i]``
+    tells an edge step from an order step.  A negative-sampled edge step
+    estimates the partition as exp(true score) + (pool/L) * the sum over L
+    distinct uniformly drawn other candidates (the exact sum when L covers
+    the pool): it lists the true pair first, with offset log(pool / L); a
+    step with no other candidate is certain and has no entry.  An order
+    step normalizes over the pair's allowed orders, with offset 0.0.
+
+    Exact edge steps normalize over every unmasked candidate and are kept
+    by close step instead, in O(n^2) per sequence: ``cand`` holds the edge
+    score of each candidate of the first step, ``close[p]`` the first step
+    at which candidate p is no longer proposable, and ``hit[t]`` the edge
+    score of step t's true pair.  Step t's candidates are those with
+    ``close > t``.  A negative-sampled plan has none of these entries.
     """
 
     n: int
@@ -250,35 +282,42 @@ class EdgePlan:
     idx: np.ndarray
     offset: np.ndarray
     edge: np.ndarray
+    cand: np.ndarray
+    close: np.ndarray
+    hit: np.ndarray
 
     @classmethod
-    def of(cls, n: int, steps) -> "EdgePlan":
-        """From (true, term indices, offset, is edge) tuples."""
+    def of(cls, n: int, steps, cand=(), close=(), hit=()) -> "EdgePlan":
+        """From the table's (true, term indices, offset, is edge) tuples
+        and the exact edge steps' candidates, close steps and hits."""
         true, idx, offset, edge = zip(*steps) if steps else ((),) * 4
         return cls(n, np.array(true, dtype=np.intp),
                    np.array([len(i) for i in idx], dtype=np.intp),
                    np.fromiter((t for i in idx for t in i), dtype=np.intp),
                    np.array(offset, dtype=np.float64),
-                   np.array(edge, dtype=bool))
+                   np.array(edge, dtype=bool),
+                   np.array(cand, dtype=np.intp), np.array(close, dtype=np.intp),
+                   np.array(hit, dtype=np.intp))
 
     @staticmethod
     def stack(plans, bases: np.ndarray):
-        """The steps of every plan, all of one n, the indices of plan p
-        shifted by ``bases[p]``; with the plan each step belongs to."""
+        """The table steps of every plan, all of one n, the indices of plan
+        p shifted by ``bases[p]``; with the plan each step belongs to."""
         owner = np.repeat(np.arange(len(plans)), [p.true.size for p in plans])
         terms = np.repeat(bases, [p.idx.size for p in plans])
+        none = np.zeros(0, dtype=np.intp)
         steps = EdgePlan(
             plans[0].n,
             np.concatenate([p.true for p in plans]) + bases[owner],
             np.concatenate([p.size for p in plans]),
             np.concatenate([p.idx for p in plans]) + terms,
             np.concatenate([p.offset for p in plans]),
-            np.concatenate([p.edge for p in plans]))
+            np.concatenate([p.edge for p in plans]), none, none, none)
         return steps, owner
 
     def logprobs(self, scores: np.ndarray, taped: bool):
-        """Each step's scores[true] - logsumexp(terms) and, when taped, the
-        softmax over each step's terms (else None).
+        """Each table step's scores[true] - logsumexp(terms) and, when
+        taped, the softmax over each step's terms (else None).
 
         Steps with the same number of terms are evaluated together, one
         row each; a row's log-sum-exp rounds as that of the step's terms
@@ -299,7 +338,7 @@ class EdgePlan:
         return out, soft
 
     def one_hot_minus_softmax(self, soft: np.ndarray, owner: np.ndarray):
-        """(score index, value, plan) of every step's one-hot minus
+        """(score index, value, plan) of every table step's one-hot minus
         softmax, last step first and, within a step, the +1 of the true
         term first for an edge step and last for an order step: the order
         in which the per-step composition's backward adds them, so the
@@ -311,6 +350,29 @@ class EdgePlan:
         last_first = np.argsort(-step, kind="stable")
         return idx[last_first], val[last_first], owner[step[last_first]]
 
+    def exact_logprob(self, edges: np.ndarray, taped: bool):
+        """The exact edge steps' summed log-probability under the graph's
+        edge scores ``edges`` and, when taped, its gradient with respect
+        to each candidate's score (else None); the hits' +1 is not in it.
+
+        Step t charges edges[hit[t]] - LSE_t, with LSE_t the log-sum-exp
+        over the candidates whose close step exceeds t.  Sorted by close
+        step, those are a suffix, so one reverse ``np.logaddexp.accumulate``
+        gives every LSE_t.  Candidate p's softmax mass summed over the
+        steps it is open, sum over t < close[p] of exp(s_p - LSE_t), is
+        exp(s_p + G[close[p]]) with G the prefix log-sum-exp of -LSE.
+        """
+        s = edges[self.cand]
+        by_close = np.argsort(self.close, kind="stable")
+        suffix = np.logaddexp.accumulate(s[by_close][::-1])[::-1]
+        steps = np.arange(self.hit.size)
+        lse = suffix[np.searchsorted(self.close[by_close], steps, side="right")]
+        value = np.sum(edges[self.hit] - lse)
+        if not taped:
+            return value, None
+        prefix = np.concatenate(([-np.inf], np.logaddexp.accumulate(-lse)))
+        return value, -np.exp(s + prefix[self.close])
+
 
 def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
                L: int = 10, mask_kind: str = "none",
@@ -319,15 +381,20 @@ def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
     """Walk the mask along ``edge_sequence``, the (u, v) pairs covering
     g.bonds exactly once in the order the decoder is charged for them.
 
-    Per pair: ``edge_mask``, then ``candidates`` (exact) or
-    ``candidate_count`` and ``sample_candidates`` (negative-sampled, from
-    ``rng``), then ``allowed_orders`` and ``commit``.  The per-step
-    reference in ``tests/test_decoder.py`` makes the same calls in the
-    same order, so it draws the same negatives.  A masked pair or order,
-    an unknown partition, or negative sampling without ``rng`` raises
-    ValueError.
+    Per pair: ``edge_mask``, then, negative-sampled, ``candidate_count``
+    and ``sample_candidates`` from ``rng``, then ``allowed_orders`` and
+    ``commit``; the per-step reference in ``tests/test_decoder.py`` makes
+    the same calls in the same order, so it draws the same negatives.
+    Exact, ``candidates`` runs once, before the first commit, and
+    ``_close_steps`` tests the still open candidates with ``edge_mask``
+    after each commit.  A masked pair or order, an unknown partition, or
+    negative sampling without ``rng`` raises ValueError.
     """
     table = table or DEFAULT_TABLE
+    if partition not in ("exact", "negative_sampled"):
+        raise ValueError(f"unknown partition mode {partition!r}")
+    if partition == "negative_sampled" and rng is None:
+        raise ValueError("negative_sampled partition needs an rng")
     seq = [(min(u, v), max(u, v)) for u, v in edge_sequence]
     bond_orders = {(u, v): o for u, v, o in g.bonds}
     if sorted(seq) != sorted(bond_orders):
@@ -335,15 +402,26 @@ def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
     n = g.n
     state = make_state(mask_kind, atom_types=g.atom_types, table=table)
     steps = []
-    for pair in seq:
-        idx, offset = _edge_terms(state, pair, n, partition, L, rng)
-        if idx is not None:
-            steps.append((pair[0] * n + pair[1], idx,
-                          0.0 if offset is None else offset[1], True))
-        order = bond_orders[pair]
-        idx, k = _order_terms(state, pair, order, n)
-        idx = [n * n + i for i in idx]
-        steps.append((idx[k], idx, 0.0, False))
+
+    def walk():
+        for pair in seq:
+            if not state.edge_mask(pair):
+                raise ValueError(f"edge {pair} is masked or already used")
+            if partition == "negative_sampled":
+                idx, offset = _edge_terms(state, pair, n, L, rng)
+                if idx is not None:
+                    steps.append((idx[0], idx, offset[1], True))
+            order = bond_orders[pair]
+            idx, k = _order_terms(state, pair, order, n)
+            idx = [n * n + i for i in idx]
+            steps.append((idx[k], idx, 0.0, False))
+            yield pair, order
+
+    if partition == "exact" and seq:
+        cands, close = _close_steps(state, walk())
+        return EdgePlan.of(n, steps, _edge_index(cands, n), close,
+                           _edge_index(seq, n))
+    for pair, order in walk():
         state.commit(pair, order)
     return EdgePlan.of(n, steps)
 
@@ -353,14 +431,18 @@ def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
 
     Plan p scores graph p mod B of the B graphs of ``h`` and ``total``
     (B = 1 and a scalar result for one graph), over the graphs' score
-    vectors concatenated.  One unbuffered ``np.add.at`` adds each step's
-    score[true] - logsumexp(terms) to its plan's starting total, one step
-    at a time in sequence order, as the tests' per-step reference does,
-    so it is bit-identical; a plan without steps keeps its starting
-    total.  Under a tape the backward pass scatters every step's one-hot
-    minus softmax into one gradient array, each plan's in the order the
-    reference's backward adds them, so a lone plan's gradients are
-    bit-identical too.  Untaped, nothing is kept for it.
+    vectors concatenated.  One unbuffered ``np.add.at`` adds each table
+    step's score[true] - logsumexp(terms) to its plan's starting total,
+    one step at a time in sequence order, as the tests' per-step reference
+    does, so a negative-sampled sequence is bit-identical to it; then each
+    plan's exact edge steps add their sum from ``EdgePlan.exact_logprob``,
+    computed from that plan alone, so a graph of a batch scores as it does
+    alone, bit for bit.  A plan without steps keeps its starting total.
+    Under a tape the backward pass scatters every step's one-hot minus
+    softmax into one gradient array: each plan's table steps in the order
+    the reference's backward adds them, so a lone negative-sampled plan's
+    gradients are bit-identical too, then each candidate's summed softmax
+    mass and each exact hit's +1.  Untaped, nothing is kept for it.
     """
     graphs = total.data.size
     slot = np.arange(len(plans)) % graphs
@@ -369,11 +451,22 @@ def _sequence_logprob(total: T.Tensor, h: Heads, plans) -> T.Tensor:
                              h.orders.data.reshape(graphs, -1)), axis=1).reshape(-1)
     per_graph = scores.size // graphs
     taped = T.recording()
-    steps, owner = EdgePlan.stack(plans, slot * per_graph)
+    bases = slot * per_graph
+    steps, owner = EdgePlan.stack(plans, bases)
     logp, soft = steps.logprobs(scores, taped)
     out = total.data.reshape(-1)[slot]
     np.add.at(out, owner, logp)
-    back = (steps.one_hot_minus_softmax(soft, owner) if taped
+    back = [steps.one_hot_minus_softmax(soft, owner)] if taped else []
+    for p, plan in enumerate(plans):
+        if not plan.hit.size:
+            continue
+        value, grad = plan.exact_logprob(scores[bases[p]:bases[p] + n2], taped)
+        out[p] += value
+        if taped:
+            idx = np.concatenate((plan.cand, plan.hit)) + bases[p]
+            back.append((idx, np.concatenate((grad, np.ones(plan.hit.size))),
+                         np.full(idx.size, p)))
+    back = ([np.concatenate(part) for part in zip(*back)] if taped
             else (np.zeros(0, dtype=np.intp),) * 3)
 
     def backward(g):

@@ -36,7 +36,8 @@ import numpy as np
 
 from .decoder import sample_graph
 from .encoder import posterior, sample_latent
-from .molgraph import (CERTIFICATE_LIMIT, DEFAULT_TABLE, MolecularGraph,
+from .molgraph import (CERTIFICATE_LIMIT, DEFAULT_TABLE,
+                       CertificateBudgetError, MolecularGraph,
                        canonical_certificate, connected_components,
                        valence_ok)
 
@@ -507,11 +508,15 @@ def _propose_by_ei(model: SGPModel, x, best, count, rng):
 
 
 def _molecule_key(g: MolecularGraph):
-    """Isomorphism certificate; above the certificate's size limit, the
-    labelled graph itself, so that only exact duplicates merge."""
-    if g.n > CERTIFICATE_LIMIT:
-        return (g.atom_types, g.bonds)
-    return canonical_certificate(g)
+    """Isomorphism certificate; for a molecule without one (above the
+    certificate's size limit, or over its search budget), the labelled
+    graph itself, so that only exact duplicates merge."""
+    if g.n <= CERTIFICATE_LIMIT:
+        try:
+            return canonical_certificate(g)
+        except CertificateBudgetError:
+            pass
+    return (g.atom_types, g.bonds)
 
 
 def bo_loop(train_embeddings, train_scores, decode_fn, oracle,

@@ -149,7 +149,7 @@ class QualityMetrics:
     uniqueness: float
     n_samples: int
     n_valid: int
-    n_uncertified: int  # valid samples above CERTIFICATE_LIMIT
+    n_uncertified: int  # valid samples without a certificate
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -294,6 +294,11 @@ def validate_molecule(g: MolecularGraph, table: ValenceTable | None = None) -> V
 # ---------------------------------------------------------------------------
 # canonical certificates
 
+class CertificateBudgetError(RuntimeError):
+    """The certificate search visited more than CERTIFICATE_LEAF_BUDGET
+    leaves of one component."""
+
+
 def _refine(n, adj, colors):
     """Weisfeiler-Lehman color refinement to a stable partition.
 
@@ -321,6 +326,15 @@ def _component_certificate(atoms, adj):
     lexicographic minimum over all leaves.  Leaf values are per-position
     records (atom, back-edges), so a branch whose forced singleton prefix
     already exceeds the best leaf's prefix can be pruned soundly.
+
+    Automorphisms are pruned against the first leaf (McKay & Piperno 2014,
+    arXiv 1301.1493): when a later leaf has the first leaf's value, the two
+    leaf orders differ by an automorphism that maps the first leaf's path
+    onto the current one.  It fixes the common prefix of the two paths, so
+    the child where they diverge roots a subtree equivalent to the first
+    path's, already searched; the search returns to that depth and takes
+    the next child there.  The minimum leaf is unchanged.  More than
+    CERTIFICATE_LEAF_BUDGET leaves raise CertificateBudgetError.
     """
     n = len(atoms)
     seed_sigs = [
@@ -332,6 +346,7 @@ def _component_certificate(atoms, adj):
 
     best = [None]
     leaves = [0]
+    first = []  # the first leaf's value and path
 
     def position_records(order_nodes):
         # record i: (atom at position i, sorted (earlier position, order) bonds)
@@ -351,7 +366,10 @@ def _component_certificate(atoms, adj):
             groups.setdefault(c, []).append(u)
         return [sorted(groups[c]) for c in sorted(groups)]
 
-    def recurse(colors):
+    def recurse(colors, path):
+        """Search below the node reached by individualizing ``path``;
+        returns the depth to resume at when a leaf equals the first one,
+        else None."""
         cells = cells_of(colors)
         if best[0] is not None:
             prefix = []
@@ -361,25 +379,33 @@ def _component_certificate(atoms, adj):
                 prefix.append(cell[0])
             forced = position_records(prefix)
             if forced > best[0][:len(forced)]:
-                return
+                return None
         target = next((cell for cell in cells if len(cell) > 1), None)
         if target is None:
             leaves[0] += 1
             if leaves[0] > CERTIFICATE_LEAF_BUDGET:
-                raise RuntimeError("certificate search budget exceeded")
+                raise CertificateBudgetError("certificate search budget exceeded")
             value = position_records([cell[0] for cell in cells])
+            if not first:
+                first.extend((value, path))
+            elif value == first[0]:
+                return next(d for d, (a, b) in enumerate(zip(path, first[1]))
+                            if a != b)
             if best[0] is None or value < best[0]:
                 best[0] = value
-            return
+            return None
         # split in place: the individualized vertex lands right before its
         # old cell, so forced prefixes only ever grow down the subtree
         target_color = colors[target[0]]
         for v in target:
             branched = list(colors)
             branched[v] = target_color - 0.5
-            recurse(_refine(n, adj, branched))
+            resume = recurse(_refine(n, adj, branched), path + (v,))
+            if resume is not None and resume < len(path):
+                return resume
+        return None
 
-    recurse(colors)
+    recurse(colors, ())
     return best[0]
 
 
@@ -404,6 +430,17 @@ def canonical_certificate(g: MolecularGraph) -> bytes:
     return repr((g.n, sorted(comp_values))).encode()
 
 
+def _certificate_or_none(g: MolecularGraph) -> bytes | None:
+    """``canonical_certificate(g)``, or None when g has more than
+    CERTIFICATE_LIMIT nodes or its search exceeds the leaf budget."""
+    if g.n > CERTIFICATE_LIMIT:
+        return None
+    try:
+        return canonical_certificate(g)
+    except CertificateBudgetError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # quality metrics
 
@@ -411,9 +448,10 @@ def compute_metrics(samples, corpus, table: ValenceTable | None = None) -> Quali
     """Validity, novelty, and uniqueness of a sample set against a corpus.
 
     Validity is the fraction of samples passing validate_molecule.  Valid
-    samples above CERTIFICATE_LIMIT atoms get no certificate and are
-    counted as ``n_uncertified``; corpus molecules above it are skipped,
-    since no certified sample can match one.  Novelty is the fraction of
+    samples that get no certificate (above CERTIFICATE_LIMIT atoms, or
+    whose search exceeds CERTIFICATE_LEAF_BUDGET) are counted as
+    ``n_uncertified``; such corpus molecules are skipped, since no
+    certified sample can match one.  Novelty is the fraction of
     certified valid samples (with multiplicity) whose certificate is not
     in the corpus; uniqueness is the number of distinct certificates over
     the total sample count.  With no certified valid samples, novelty and
@@ -425,16 +463,14 @@ def compute_metrics(samples, corpus, table: ValenceTable | None = None) -> Quali
     table = table or DEFAULT_TABLE
     valid = [g for g in samples if validate_molecule(g, table).valid]
     validity = len(valid) / len(samples)
-    certified = [g for g in valid if g.n <= CERTIFICATE_LIMIT]
-    n_uncertified = len(valid) - len(certified)
-    if not certified:
+    valid_certs = [c for c in map(_certificate_or_none, valid) if c is not None]
+    n_uncertified = len(valid) - len(valid_certs)
+    if not valid_certs:
         return QualityMetrics(validity, 0.0, 0.0, len(samples), len(valid),
                               n_uncertified)
-    corpus_certs = {canonical_certificate(g) for g in corpus
-                    if g.n <= CERTIFICATE_LIMIT}
-    valid_certs = [canonical_certificate(g) for g in certified]
+    corpus_certs = set(map(_certificate_or_none, corpus)) - {None}
     known = sum(1 for c in valid_certs if c in corpus_certs)
-    novelty = 1.0 - known / len(certified)
+    novelty = 1.0 - known / len(valid_certs)
     uniqueness = len(set(valid_certs)) / len(samples)
     return QualityMetrics(validity, novelty, uniqueness, len(samples),
                           len(valid), n_uncertified)

@@ -19,6 +19,7 @@ from molvae.latentopt import molecule_embedding, proxy_property
 from molvae.training import load_checkpoint
 from molvae.molgraph import (DEFAULT_TABLE, MolecularGraph, parse_corpus,
                              random_molecule, write_corpus)
+from test_certificate_budget import tetra_tert_butyl_methane
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,19 @@ def test_sample_outputs(workspace, tmp_path):
     assert sampler["realised_edges_mean"] <= sampler["requested_edges_mean"]
     if sampler["early_stop_frac"] == 0.0:
         assert sampler["realised_edges_mean"] == sampler["requested_edges_mean"]
+
+
+def test_sample_with_a_highly_symmetric_corpus_molecule(workspace, tmp_path):
+    corpus = [tetra_tert_butyl_methane(),
+              MolecularGraph(("C", "C", "O"), ((0, 1, 1), (1, 2, 1)))]
+    write_corpus(corpus, tmp_path / "corpus.jsonl")
+    rc = main(["sample", "--corpus", str(tmp_path / "corpus.jsonl"),
+               "--checkpoint", workspace["checkpoint"], "--seed", "5",
+               "--count", "25", "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    # a certified valid sample is what makes the corpus get certified
+    assert report["n_valid"] - report["n_uncertified"] >= 1
 
 
 def test_sample_zero_count(workspace, tmp_path):

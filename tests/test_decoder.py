@@ -1,9 +1,12 @@
 """Decoder heads, trace accounting, masked sampling, partition estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molvae import decoder
 from molvae import tensor as T
@@ -12,7 +15,7 @@ from molvae.decoder import (edge_count_dist, feature_logprob, graph_logprob,
                             sample_graph, type_logits)
 from molvae.masks import MASK_KINDS, MaskState, make_state
 from molvae.molgraph import (DEFAULT_TABLE, GraphBatch, MolecularGraph,
-                             valence_ok)
+                             random_molecule, valence_ok)
 
 
 def _params(D=4, seed=0, n_types=4):
@@ -549,7 +552,7 @@ def test_negative_sampled_matches_exact_when_pool_covered():
     exact = plan_edges(g, [(0, 1)], "exact")
     est = plan_edges(g, [(0, 1)], "negative_sampled", L=50,
                      rng=np.random.default_rng(0))
-    assert est.size[0] == exact.size[0] == 10
+    assert est.size[0] == exact.cand.size == 10
     assert abs(graph_logprob(g, z, [exact], params).item()
                - graph_logprob(g, z, [est], params).item()) < 1e-12
 
@@ -678,6 +681,21 @@ def _taped(fn, plist):
     return out.item(), tape.gradients(out, plist)
 
 
+def _assert_matches_reference(partition, value, grads, ref, ref_grads):
+    """Negative-sampled: bit for bit, as the fused backward sums in the
+    composition's order.  Exact: within 1e-12 relative, since the close-step
+    log-sum-exp sums every step's partition in another order."""
+    if partition == "negative_sampled":
+        assert value == ref
+        for ga, gb in zip(grads, ref_grads):
+            assert np.array_equal(ga, gb)
+        return
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+    for ga, gb in zip(grads, ref_grads):
+        np.testing.assert_allclose(ga, gb, rtol=1e-12,
+                                   atol=1e-12 * np.abs(gb).max())
+
+
 @pytest.mark.parametrize("mask_kind", MASK_KINDS + ("rejecting",))
 @pytest.mark.parametrize("partition", ["exact", "negative_sampled"])
 def test_graph_logprob_equals_step_composition(monkeypatch, mask_kind, partition):
@@ -702,13 +720,106 @@ def test_graph_logprob_equals_step_composition(monkeypatch, mask_kind, partition
             g, plist[-1], [plan], params, partition=partition), plist)
         ref, ref_grads = _taped(lambda: _composed_logprob(
             g, plist[-1], seq, params, partition, 3, sample_kind, ref_rng), plist)
-        # bit for bit: the fused backward sums in the composition's order
-        assert value == ref
-        for ga, gb in zip(grads, ref_grads):
-            assert np.array_equal(ga, gb)
+        _assert_matches_reference(partition, value, grads, ref, ref_grads)
         assert fused_rng.random() == ref_rng.random()
         scored += len(seq) >= 2
     assert scored >= 10
+
+
+def _walkable_molecule(rng, n, mask_kind):
+    """A random molecule of n atoms, with each bond in a random order kept
+    if the mask (``decoder.make_state``) still proposes it; the kept bonds
+    and their order."""
+    g = random_molecule(rng, n)
+    while g.n != n:  # random_molecule stops early when valence saturates
+        g = random_molecule(rng, n)
+    state = decoder.make_state(mask_kind, atom_types=g.atom_types,
+                               table=DEFAULT_TABLE)
+    bonds = []
+    for i in rng.permutation(len(g.bonds)):
+        u, v, order = g.bonds[i]
+        if state.edge_mask((u, v)) and order in state.allowed_orders((u, v)):
+            state.commit((u, v), order)
+            bonds.append((u, v, order))
+    return MolecularGraph(g.atom_types, tuple(bonds)), [(u, v) for u, v, _ in bonds]
+
+
+@settings(max_examples=100)
+@given(mask_kind=st.sampled_from(MASK_KINDS), n=st.integers(2, 20),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_close_steps_match_candidates_at_every_step(mask_kind, n, seed):
+    """The close-step walk against brute force: at every step t, the
+    candidates whose close step lies beyond t are exactly what
+    ``candidates()`` lists at t, in the same order."""
+    g, seq = _walkable_molecule(np.random.default_rng(seed), n, mask_kind)
+    steps = [((u, v), order) for u, v, order in g.bonds]  # in seq's order
+    cands, close = decoder._close_steps(
+        make_state(mask_kind, atom_types=g.atom_types), iter(steps))
+    assert close.shape == (len(cands),)
+    ref = make_state(mask_kind, atom_types=g.atom_types)
+    assert cands == ref.candidates()
+    for t, (pair, order) in enumerate(steps):
+        assert [c for c, k in zip(cands, close) if k > t] == ref.candidates()
+        assert close[cands.index(pair)] == t + 1
+        ref.commit(pair, order)
+    assert close.max(initial=0) <= len(seq)
+
+
+@pytest.mark.parametrize("mask_kind", MASK_KINDS + ("rejecting",))
+@pytest.mark.parametrize("n", [24, 64])
+def test_exact_sequences_match_composition_up_to_64_atoms(monkeypatch,
+                                                          mask_kind, n):
+    if mask_kind == "rejecting":
+        monkeypatch.setattr(decoder, "make_state", lambda kind, atom_types, table:
+                            MaskState(len(atom_types), [_NoOrderOnEveryThirdPair()]))
+        mask_kind = "none"  # make_state is patched; the kind is unused
+    params = _with_biases(_params(D=4, seed=101), seed=102)
+    rng = np.random.default_rng(n)
+    g, seq = _walkable_molecule(rng, n, mask_kind)
+    assert len(seq) >= n // 2
+    plist = [t for _, t in params.tensors()] + [T.Tensor(rng.standard_normal((n, 4)))]
+    plan = plan_edges(g, seq, "exact", mask_kind=mask_kind)
+    # O(n^2) per sequence: each candidate once, and only order steps listed
+    assert plan.cand.size <= n * (n - 1) // 2
+    assert plan.idx.size <= 3 * len(seq) and not plan.edge.any()
+
+    def fused():
+        return graph_logprob(g, plist[-1], [plan], params)
+
+    def composed():
+        return _composed_logprob(g, plist[-1], seq, params, "exact", 0,
+                                 mask_kind, None)
+
+    untaped, ref_untaped = fused().item(), composed().item()
+    value, grads = _taped(fused, plist)
+    ref, ref_grads = _taped(composed, plist)
+    assert untaped == value and ref_untaped == ref
+    _assert_matches_reference("exact", value, grads, ref, ref_grads)
+
+
+def test_exact_partition_of_a_128_atom_molecule():
+    params = _with_biases(_params(D=4, seed=103), seed=104)
+    rng = np.random.default_rng(105)
+    g, seq = _walkable_molecule(rng, 128, "valence")
+    assert valence_ok(g) and len(seq) == len(g.bonds) >= 127
+    plist = [t for _, t in params.tensors()] + [
+        T.Tensor(rng.standard_normal((128, 4)))]
+    tracemalloc.start()
+    try:
+        plan = plan_edges(g, seq, "exact", mask_kind="valence")
+        value = graph_logprob(g, plist[-1], [plan], params).item()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20  # per-step candidate lists held 28 MB
+    ref = _composed_logprob(g, plist[-1], seq, params, "exact", 0, "valence",
+                            None).item()
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+    with T.Tape() as tape:
+        taped = graph_logprob(g, plist[-1], [plan], params)
+    grads = tape.gradients(taped, plist)
+    assert taped.item() == value
+    assert all(np.all(np.isfinite(grad)) for grad in grads)
 
 
 @pytest.mark.parametrize("mask_kind", ["none", "valence"])
@@ -778,7 +889,13 @@ def test_batch_with_a_bond_free_graph_equals_composition(partition):
         ref, ref_grads = _taped(lambda: _composed_logprob(
             batch[b], zb, seq, params, partition, 3, "valence",
             np.random.default_rng(p)), plist[:-1] + [zb])
-        assert values.data[p] == ref
+        # a graph of a batch scores as it does alone, bit for bit
+        assert values.data[p] == graph_logprob(batch[b], zb, [plans[p]],
+                                               params).item()
+        if partition == "exact":
+            assert abs(values.data[p] - ref) <= 1e-12 * abs(ref)
+        else:
+            assert values.data[p] == ref
         for acc, grad in zip(apart[:-1], ref_grads[:-1]):
             acc += w * grad
         apart[-1][b] += w * ref_grads[-1]
