@@ -39,9 +39,11 @@ from .encoder import posterior, sample_latent
 from .latentopt import (EI_STARTS, bo_loop, make_molecule_decoder,
                         molecule_embedding, proxy_property, sgp_loglik,
                         sgp_predict)
+from .masks import make_state
 from .molgraph import (DEFAULT_TABLE, MolecularGraph, compute_metrics,
                        graph_to_obj, parse_corpus, random_molecule, to_dot,
-                       valence_ok, write_corpus, write_jsonl)
+                       valence_ok, valence_violations, write_corpus,
+                       write_jsonl)
 from .synth import (KroneckerSpec, gen_ba, gen_kronecker, gen_triangle_free,
                     loglik_ba, loglik_kronecker, precision_top_bottom,
                     spearman)
@@ -82,15 +84,39 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _load_corpus(args):
+def _load_corpus(args, check=None):
+    """The --corpus molecules; a record that does not parse, or that
+    ``check`` rejects (see ``parse_corpus``), is a usage error."""
     path = _require_file(args.corpus, "corpus")
     try:
-        graphs = parse_corpus(path)
+        graphs = parse_corpus(path, check=check)
     except ValueError as err:
         raise UsageError(str(err)) from err
     if not graphs:
         raise UsageError(f"corpus is empty: {path}")
     return graphs
+
+
+def _mask_admits(kind: str, g: MolecularGraph) -> None:
+    """Raise ValueError unless every bond of ``g`` commits to a fresh
+    ``kind`` mask state.  Training walks the bonds under that mask; under
+    the built-in kinds the order of the commits does not change whether
+    they all succeed."""
+    state = make_state(kind, g.atom_types)
+    try:
+        for u, v, order in g.bonds:
+            state.commit((u, v), order)
+    except ValueError as err:
+        raise ValueError(f"molecule not allowed by the {kind} mask: {err}") \
+            from err
+
+
+def _valence_admits(table, g: MolecularGraph) -> None:
+    """Raise ValueError for a molecule over the valence of ``table``: its
+    property score is undefined."""
+    bad = [u for u, _ in valence_violations(g, table)]
+    if bad:
+        raise ValueError(f"molecule violates valence at atoms {bad}")
 
 
 def _load_checkpoint(args) -> Checkpoint:
@@ -159,7 +185,7 @@ def _hyper_from(args, **overrides) -> Hyperparams:
 
 
 def cmd_train(args) -> int:
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args, partial(_mask_admits, args.mask_kind))
     hyper = _hyper_from(args)
     rows = []
     ckpt = train(corpus, hyper,
@@ -426,7 +452,7 @@ def cmd_synth(args) -> int:
 
 def cmd_bo(args) -> int:
     ckpt = _load_checkpoint(args)
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args, partial(_valence_admits, ckpt.model.table))
     if len(corpus) < 3:
         raise UsageError("bo needs a corpus of at least 3 molecules")
     model = ckpt.model

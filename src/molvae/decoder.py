@@ -41,7 +41,8 @@ import numpy as np
 
 from . import tensor as T
 from .masks import MaskState, make_state
-from .molgraph import DEFAULT_TABLE, GraphBatch, MolecularGraph, ValenceTable
+from .molgraph import (DEFAULT_TABLE, GraphBatch, MolecularGraph, ValenceTable,
+                       choice_cdf, draw_index)
 
 
 @dataclass
@@ -525,14 +526,13 @@ def graph_logprob(g, z: T.Tensor, plans, params: DecoderParams,
 # sampling
 
 def _softmax_choice(rng: np.random.Generator, logits: np.ndarray) -> tuple[int, float]:
-    """Draw from softmax(logits) by inverse CDF: the arithmetic of
-    ``rng.choice(len(p), p=p)``, so seeded draws match it."""
+    """Draw from softmax(logits) with ``molgraph.draw_index``, the inverse-CDF
+    draw ``random_molecule`` uses too: the arithmetic of
+    ``rng.choice(len(p), p=p)``, so seeded draws match it bit for bit."""
     shifted = logits - logits.max()
     p = np.exp(shifted)
     p = p / p.sum()
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    idx = int(cdf.searchsorted(rng.random(), side="right"))
+    idx = draw_index(rng, choice_cdf(p))
     return idx, float(np.log(p[idx]))
 
 

@@ -183,12 +183,16 @@ def graph_from_obj(obj: dict, table: ValenceTable | None = None) -> MolecularGra
     return MolecularGraph(tuple(atoms), tuple(map(tuple, bonds)))
 
 
-def parse_corpus(path, table: ValenceTable | None = None) -> list[MolecularGraph]:
+def parse_corpus(path, table: ValenceTable | None = None,
+                 check=None) -> list[MolecularGraph]:
     """Read a JSONL corpus: one {"atoms": [...], "bonds": [[u,v,order],...]} per line.
 
     Raises ValueError naming the file and the offending line on malformed
-    JSON, unknown atom symbols, fields of the wrong type or structural
-    violations, and naming the file when it is not UTF-8 text.
+    JSON, unknown atom symbols, fields of the wrong type, structural
+    violations or a record without atoms, and naming the file when it is
+    not UTF-8 text.  ``check``, when given, is called on each parsed
+    molecule and raises ValueError for one the caller cannot use; that
+    error is reported with the file and line too.
     """
     graphs = []
     try:
@@ -200,10 +204,14 @@ def parse_corpus(path, table: ValenceTable | None = None) -> list[MolecularGraph
         if not line:
             continue
         try:
-            obj = json.loads(line)
-            graphs.append(graph_from_obj(obj, table))
+            g = graph_from_obj(json.loads(line), table)
+            if g.n == 0:
+                raise ValueError("molecule has no atoms")
+            if check is not None:
+                check(g)
         except (ValueError, KeyError, TypeError, IndexError, RecursionError) as err:
             raise ValueError(f"{path}: corpus line {lineno}: {err}") from err
+        graphs.append(g)
     return graphs
 
 
@@ -479,6 +487,34 @@ def compute_metrics(samples, corpus, table: ValenceTable | None = None) -> Quali
 # ---------------------------------------------------------------------------
 # corpus synthesis (desk-scale test and demo data)
 
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(a, p=p)`` builds from the probabilities
+    ``p``: their running sum, divided by its last entry."""
+    cdf = np.cumsum(p, dtype=np.float64)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One index drawn by inverse CDF from ``cdf = choice_cdf(p)``.
+
+    The arithmetic of ``rng.choice(len(p), p=p)``: it consumes one
+    ``rng.random()`` and returns the same index, so seeded draws, and the
+    generator's state after them, match ``rng.choice`` bit for bit.
+    ``random_molecule`` and the decoder's sampler both draw through it.
+    """
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _order_cdf(cap: int) -> np.ndarray:
+    w = np.array([0.7, 0.2, 0.1][:cap])
+    return choice_cdf(w / w.sum())
+
+
+# random_molecule's bond-order CDFs, keyed by the largest order allowed
+_ORDER_CDFS = {cap: _order_cdf(cap) for cap in (2, 3)}
+
+
 def random_molecule(rng: np.random.Generator, n_nodes: int,
                     table: ValenceTable | None = None) -> MolecularGraph:
     """Sample a connected molecule that respects the valence table.
@@ -486,12 +522,18 @@ def random_molecule(rng: np.random.Generator, n_nodes: int,
     Grows a random tree (attachment points weighted by remaining valence),
     then closes a few rings where valence allows.  Heavy atoms dominate;
     explicit hydrogens appear only as leaves.
+
+    Atom symbols and bond orders are drawn with ``draw_index``, the helper
+    the decoder's sampler draws with too, from CDFs built once: the symbol
+    CDF per call, the bond-order CDFs at import.  A seeded generator gives
+    the same molecule, and is left in the same state, as when each draw was
+    ``rng.choice(a, p=p)``.
     """
     table = table or DEFAULT_TABLE
     symbols = table.symbols
     weights = np.array([{"C": 0.6, "H": 0.1, "N": 0.15, "O": 0.15}.get(s, 0.25)
                         for s in symbols])
-    weights = weights / weights.sum()
+    symbol_cdf = choice_cdf(weights / weights.sum())
 
     heavy = [s for s in symbols if table.max_valence(s) >= 2] or list(symbols)
     atoms = [heavy[rng.integers(len(heavy))]]
@@ -502,12 +544,12 @@ def random_molecule(rng: np.random.Generator, n_nodes: int,
         if not open_nodes:
             break
         u = open_nodes[rng.integers(len(open_nodes))]
-        sym = rng.choice(symbols, p=weights)
+        sym = symbols[draw_index(rng, symbol_cdf)]
         # keep growth alive: the last slots must not all be valence-1 leaves
         if len(atoms) < n_nodes - 1 and sum(remaining) <= 1 and table.max_valence(sym) < 2:
             sym = heavy[rng.integers(len(heavy))]
         cap = min(remaining[u], table.max_valence(sym), 3)
-        order = 1 if cap == 1 else int(rng.choice([1, 2, 3][:cap], p=_order_weights(cap)))
+        order = 1 if cap == 1 else 1 + draw_index(rng, _ORDER_CDFS[cap])
         v = len(atoms)
         atoms.append(sym)
         remaining[u] -= order
@@ -530,8 +572,3 @@ def random_molecule(rng: np.random.Generator, n_nodes: int,
             remaining[u] -= 1
             remaining[v] -= 1
     return MolecularGraph(tuple(atoms), tuple(bonds))
-
-
-def _order_weights(cap: int) -> np.ndarray:
-    w = np.array([0.7, 0.2, 0.1][:cap])
-    return w / w.sum()

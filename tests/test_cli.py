@@ -446,6 +446,56 @@ def test_bo_tiny_corpus_rejected(workspace, tmp_path):
     assert rc == 2
 
 
+ETHANOL = {"atoms": ["C", "C", "O"], "bonds": [[0, 1, 1], [1, 2, 1]]}
+ATOMLESS = {"atoms": [], "bonds": []}
+H_CHAIN = {"atoms": ["H", "H", "H"], "bonds": [[0, 1, 1], [1, 2, 1]]}
+TRIANGLE = {"atoms": ["C", "C", "C"],
+            "bonds": [[0, 1, 1], [1, 2, 1], [0, 2, 1]]}
+OVER_VALENCE = {"atoms": ["O", "C"], "bonds": [[0, 1, 3]]}
+
+
+def _corpus_with(tmp_path, record):
+    """A corpus whose line 2 is ``record``, between molecules every
+    subcommand and mask accepts."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n"
+                            for r in (ETHANOL, record, ETHANOL, ETHANOL)))
+    return path
+
+
+@pytest.mark.parametrize("subcommand, flags, record, reason", [
+    ("train", ["--iters", "2"], ATOMLESS, "molecule has no atoms"),
+    ("train", ["--iters", "2"], H_CHAIN,
+     "molecule not allowed by the valence mask"),
+    ("train", ["--iters", "2", "--mask", "triangle-free"], TRIANGLE,
+     "molecule not allowed by the triangle_free mask"),
+    ("bo", ["--iters", "2"], ATOMLESS, "molecule has no atoms"),
+    ("bo", ["--iters", "2"], OVER_VALENCE,
+     "molecule violates valence at atoms [0]"),
+    ("sample", ["--mode", "posterior:1"], ATOMLESS, "molecule has no atoms"),
+])
+def test_corpus_molecule_the_subcommand_cannot_use_exits_2(
+        workspace, tmp_path, capsys, subcommand, flags, record, reason):
+    path = _corpus_with(tmp_path, record)
+    out = tmp_path / "out"
+    argv = [subcommand, "--corpus", str(path), "--seed", "0",
+            "--out-dir", str(out), *flags]
+    if subcommand != "train":
+        argv += ["--checkpoint", workspace["checkpoint"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: corpus line 2: {reason}" in err
+    assert not out.exists()
+
+
+def test_train_without_a_mask_accepts_what_the_valence_mask_rejects(
+        tmp_path):
+    path = _corpus_with(tmp_path, H_CHAIN)
+    assert main(["train", "--corpus", str(path), "--seed", "0",
+                 "--mask", "none", "--iters", "1", "--D", "4", "--K", "2",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+
+
 def test_argparse_usage_errors(workspace, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train"])                       # --corpus and --seed missing

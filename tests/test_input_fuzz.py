@@ -106,6 +106,7 @@ def test_damaged_corpus_line(fuzz_dir, data, seed, as_text):
     '{"atoms": "CC", "bonds": []}',
     '{"atoms": ["C", "C"], "bonds": [[0, 1.7, 1]]}',
     '{"atoms": ["C", "C"], "bonds": [[0, 1, 1, 5]]}',
+    '{"atoms": [], "bonds": []}',
 ])
 def test_malformed_corpus_lines_name_the_line(tmp_path, line):
     path = tmp_path / "corpus.jsonl"

@@ -213,6 +213,85 @@ def test_random_molecule_is_valid():
         assert M.validate_molecule(g).valid, M.validate_molecule(g).violations
 
 
+def _reference_random_molecule(rng, n_nodes, table=None):
+    """random_molecule as it was written with ``rng.choice(a, p=p)`` for
+    every atom symbol and bond order: the reference its inverse-CDF draws
+    must reproduce bit for bit."""
+    table = table or M.DEFAULT_TABLE
+    symbols = table.symbols
+    weights = np.array([{"C": 0.6, "H": 0.1, "N": 0.15, "O": 0.15}.get(s, 0.25)
+                        for s in symbols])
+    weights = weights / weights.sum()
+
+    def order_weights(cap):
+        w = np.array([0.7, 0.2, 0.1][:cap])
+        return w / w.sum()
+
+    heavy = [s for s in symbols if table.max_valence(s) >= 2] or list(symbols)
+    atoms = [heavy[rng.integers(len(heavy))]]
+    remaining = [table.max_valence(atoms[0])]
+    bonds = []
+    while len(atoms) < n_nodes:
+        open_nodes = [u for u in range(len(atoms)) if remaining[u] >= 1]
+        if not open_nodes:
+            break
+        u = open_nodes[rng.integers(len(open_nodes))]
+        sym = rng.choice(symbols, p=weights)
+        if len(atoms) < n_nodes - 1 and sum(remaining) <= 1 and table.max_valence(sym) < 2:
+            sym = heavy[rng.integers(len(heavy))]
+        cap = min(remaining[u], table.max_valence(sym), 3)
+        order = 1 if cap == 1 else int(rng.choice([1, 2, 3][:cap], p=order_weights(cap)))
+        v = len(atoms)
+        atoms.append(sym)
+        remaining[u] -= order
+        remaining.append(table.max_valence(sym) - order)
+        bonds.append((u, v, order))
+
+    n = len(atoms)
+    if rng.random() < M.RING_PROB and n >= 3:
+        bonded = {(u, v) for u, v, _ in bonds}
+        for _ in range(2):
+            open_nodes = [u for u in range(n) if remaining[u] >= 1]
+            if len(open_nodes) < 2:
+                break
+            u, v = rng.choice(open_nodes, size=2, replace=False)
+            u, v = (int(u), int(v)) if u < v else (int(v), int(u))
+            if (u, v) in bonded:
+                continue
+            bonds.append((u, v, 1))
+            bonded.add((u, v))
+            remaining[u] -= 1
+            remaining[v] -= 1
+    return M.MolecularGraph(tuple(atoms), tuple(bonds))
+
+
+@pytest.mark.parametrize("table", [
+    M.DEFAULT_TABLE,
+    # S and Cl take the 0.25 weight; S's valence 6 exceeds the order cap
+    M.ValenceTable({"C": 4, "S": 6, "Cl": 1, "H": 1}),
+    # no atom of valence 2 or more: growth starts from any symbol
+    M.ValenceTable({"H": 1, "F": 1}),
+], ids=["chno", "with-s-cl", "valence-1-only"])
+def test_random_molecule_matches_the_rng_choice_reference(table):
+    for seed in range(12):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in range(1, 65):
+            assert M.random_molecule(rng, n, table) == \
+                _reference_random_molecule(ref, n, table), (seed, n)
+            assert rng.random() == ref.random(), (seed, n)
+
+
+@pytest.mark.parametrize("p", [[1.0], [0.6, 0.1, 0.15, 0.15], [0.0, 0.5, 0.5],
+                               [1e-300, 1.0, 0.0, 3e-17]])
+def test_draw_index_is_rng_choice(p):
+    p = np.asarray(p) / np.sum(p)
+    cdf = M.choice_cdf(p)
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert M.draw_index(rng, cdf) == ref.choice(len(p), p=p)
+        assert rng.random() == ref.random()
+
+
 def test_dot_export():
     g = M.MolecularGraph(("C", "O"), ((0, 1, 2),))
     dot = M.to_dot(g)
