@@ -156,14 +156,14 @@ def _sample_many(model, count: int, seed: int, mask_kind: str, post=None):
 
 
 def _sampler_record(traces) -> dict:
-    """How often the masked sampler stopped early or rejected a pair, and
-    how many edges it was asked for against how many it placed."""
+    """How often the masked sampler stopped early, and how many edges it was
+    asked for against how many it placed.  It rejects no pair, so
+    ``rejects_per_draw`` is 0.0, kept for the output format."""
     count = len(traces)
     return {
         "draws": count,
         "early_stop_frac": sum(tr.early_stopped for tr in traces) / count,
-        "rejects_per_draw": sum(kind == "reject" for tr in traces
-                                for kind, _, _ in tr.steps) / count,
+        "rejects_per_draw": 0.0,
         "requested_edges_mean": sum(tr.edge_count for tr in traces) / count,
         "realised_edges_mean": sum(len(tr.edges) for tr in traces) / count,
     }

@@ -26,9 +26,9 @@ within 1e-12 relative for exact ones.  The sampler reads the same scores
 untaped.
 
 Sampling with a mask state guarantees the masked property by construction:
-masked pairs and orders are never proposed, a pair with no allowed order is
-rejected and never proposed again, and generation stops early once no
-candidate remains.
+masked pairs and orders are never proposed, and generation stops early
+once no candidate remains.  Under every built-in mask kind a proposable
+pair admits a single bond, so each edge step is followed by an order step.
 """
 
 from __future__ import annotations
@@ -74,13 +74,10 @@ class DecoderParams:
 class GenerationTrace:
     """Every random choice of one decode, with its log-probability."""
 
-    n: int
-    atoms: tuple[str, ...]
     edge_count: int
     edges: list[tuple[int, int, int]]
     steps: list[tuple[str, object, float]] = field(default_factory=list)
     early_stopped: bool = False
-    z: np.ndarray | None = None
 
     @property
     def total_logprob(self) -> float:
@@ -630,10 +627,6 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
         idx, logp = _softmax_choice(rng, h.edges.data.take(_edge_index(cands, n)))
         pair = cands[idx]
         allowed = state.allowed_orders(pair)
-        if not allowed:
-            state.reject(pair)
-            steps.append(("reject", pair, logp))
-            continue
         steps.append(("edge", pair, logp))
         oidx, ologp = _softmax_choice(rng, h.orders.data.take(_order_index(pair, n, allowed)))
         order = allowed[oidx]
@@ -642,6 +635,6 @@ def sample_graph(params: DecoderParams, rng: np.random.Generator, *,
         edges.append((pair[0], pair[1], order))
 
     graph = MolecularGraph(atoms, tuple(edges))
-    trace = GenerationTrace(n=n, atoms=atoms, edge_count=l, edges=edges,
-                            steps=steps, early_stopped=early, z=z)
+    trace = GenerationTrace(edge_count=l, edges=edges, steps=steps,
+                            early_stopped=early)
     return graph, trace

@@ -36,8 +36,9 @@ import numpy as np
 
 from .decoder import sample_graph
 from .encoder import posterior, sample_latent
-from .molgraph import (CERTIFICATE_LIMIT, DEFAULT_TABLE,
-                       CertificateBudgetError, MolecularGraph,
+# canonical_certificate is unused here but stays: the benchmark's tracer
+# wraps latentopt.canonical_certificate by name.
+from .molgraph import (DEFAULT_TABLE, MolecularGraph, _certificate_or_none,
                        canonical_certificate, connected_components,
                        valence_ok)
 
@@ -337,17 +338,19 @@ def expected_improvement(mean, variance, best) -> np.ndarray:
     out = np.maximum(mean - best, 0.0)
     pos = sd > 0.0
     if np.any(pos):
-        z = (mean - best) / np.where(pos, sd, 1.0)
-        phi, big_phi = _normal_pdf_cdf(z)
-        out = np.where(pos, sd * (z * big_phi + phi), out)
+        ei, _, _ = _ei_terms(mean, np.where(pos, sd, 1.0), best)
+        out = np.where(pos, ei, out)
     return out
 
 
-def _normal_pdf_cdf(z):
+def _ei_terms(mean, sd, best):
+    """EI, phi(z) and Phi(z) at z = (mean - best) / sd, for sd > 0."""
     from scipy.special import erf
 
-    return (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
-            0.5 * (1.0 + erf(z / math.sqrt(2.0))))
+    z = (mean - best) / sd
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    big_phi = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    return sd * (z * big_phi + phi), phi, big_phi
 
 
 def _neg_ei(v, model: SGPModel, best):
@@ -357,9 +360,9 @@ def _neg_ei(v, model: SGPModel, best):
     has gradient alpha' dk/dv and the variance -2 (W k)' dk/dv, where
     W k = L_uu^-T (t1 - L_b^-T t2) = proj' [t1; -t2], one matrix-vector
     product; the variance is flat where it is clipped at zero.  Then
-    grad EI = Phi(z) grad mean + phi(z) grad var / (2 sd).  The value is
-    ``expected_improvement``'s formula on the one point's scalars, the
-    same operations in the same order, so it equals
+    grad EI = Phi(z) grad mean + phi(z) grad var / (2 sd).  The value comes
+    from ``_ei_terms``, as ``expected_improvement``'s does, on the one
+    point's scalars, so it equals
     ``expected_improvement(*sgp_predict(model, v), best)`` bit for bit.
     ``v`` is not checked: the ascent starts from points ``sgp_predict``
     has checked and stays inside a finite box.
@@ -367,16 +370,14 @@ def _neg_ei(v, model: SGPModel, best):
     ks, t, mean, var = _predictive(model, v[None, :])
     mean, var = float(mean[0]), float(var[0])
     sd = math.sqrt(var)  # > 0: a fitted noise variance is positive
-    z = (mean - best) / sd
-    phi, big_phi = _normal_pdf_cdf(z)
-    ei = float(sd * (z * big_phi + phi))
+    ei, phi, big_phi = _ei_terms(mean, sd, best)
     dk = ks.T * (model.inducing - v) / model.lengthscale ** 2
     d_mean = model.alpha @ dk
     d_var = np.zeros_like(v)
     if var > model.noise:
         t[len(t) // 2:] *= -1.0
         d_var = -2.0 * ((model.proj.T @ t[:, 0]) @ dk)
-    return -ei, -(big_phi * d_mean + phi * d_var / (2.0 * sd))
+    return -float(ei), -(big_phi * d_mean + phi * d_var / (2.0 * sd))
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +512,8 @@ def _molecule_key(g: MolecularGraph):
     """Isomorphism certificate; for a molecule without one (above the
     certificate's size limit, or over its search budget), the labelled
     graph itself, so that only exact duplicates merge."""
-    if g.n <= CERTIFICATE_LIMIT:
-        try:
-            return canonical_certificate(g)
-        except CertificateBudgetError:
-            pass
-    return (g.atom_types, g.bonds)
+    cert = _certificate_or_none(g)
+    return (g.atom_types, g.bonds) if cert is None else cert
 
 
 def bo_loop(train_embeddings, train_scores, decode_fn, oracle,

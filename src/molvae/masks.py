@@ -1,10 +1,11 @@
 """Validity masks for the sequential graph decoder.
 
-A MaskState tracks one decode in progress: which pairs have been generated
-or rejected, plus any structural rules.  Rules are composed by conjunction;
-the built-in kinds are ``none`` (bookkeeping only), ``valence`` (edges need
-spare valence at both endpoints, bond orders must fit the smaller remaining
-valence), and ``triangle_free`` (no edge may close a triangle).
+A MaskState tracks one decode in progress: which pairs have been
+generated, plus the structural rule of its kind.  The built-in kinds are
+``none`` (bookkeeping only), ``valence`` (edges need spare valence at both
+endpoints, bond orders must fit the smaller remaining valence), and
+``triangle_free`` (no edge may close a triangle).  Under each, a pair that
+passes the edge mask admits a single bond.
 
 Candidate counting and uniform candidate sampling avoid enumerating the
 O(n^2) pair universe in the common cases, which keeps likelihood evaluation
@@ -46,9 +47,6 @@ class ValenceRule:
         self.remaining[u] -= order
         self.remaining[v] -= order
 
-    def on_reject(self, state, pair) -> None:
-        pass
-
     def count_allowed(self, state, exclude) -> int:
         open_nodes = self.remaining >= 1
         a = int(open_nodes.sum())
@@ -56,11 +54,8 @@ class ValenceRule:
         for (u, v) in state.generated:
             if open_nodes[u] and open_nodes[v]:
                 count -= 1
-        for (u, v) in state.rejected:
-            if open_nodes[u] and open_nodes[v]:
-                count -= 1
         if exclude is not None and open_nodes[exclude[0]] and open_nodes[exclude[1]] \
-                and exclude not in state.generated and exclude not in state.rejected:
+                and exclude not in state.generated:
             count -= 1
         return count
 
@@ -84,7 +79,7 @@ class TriangleFreeRule:
         pair = _norm_pair(pair)
         c = self.common.get(pair, 0)
         self.common[pair] = c + 1
-        if c == 0 and pair not in state.generated and pair not in state.rejected:
+        if c == 0 and pair not in state.generated:
             self.masked_free += 1
 
     def on_commit(self, state, pair, order) -> None:
@@ -99,22 +94,18 @@ class TriangleFreeRule:
         self.adj[u].add(v)
         self.adj[v].add(u)
 
-    def on_reject(self, state, pair) -> None:
-        if self.common.get(pair, 0) > 0:
-            self.masked_free -= 1
-
     def count_allowed(self, state, exclude) -> int:
         count = state.free_pair_count() - self.masked_free
         if exclude is not None:
             ex = _norm_pair(exclude)
-            if ex not in state.generated and ex not in state.rejected \
-                    and self.common.get(ex, 0) == 0:
+            if ex not in state.generated and self.common.get(ex, 0) == 0:
                 count -= 1
         return count
 
 
 class MaskState:
-    """Pair/order masks for one decode, composed from zero or more rules."""
+    """Pair/order masks for one decode: the generated pairs and at most one
+    rule, which ``candidate_count`` counts through (none for ``none``)."""
 
     def __init__(self, n: int, rules=()):
         if n < 1:
@@ -122,17 +113,16 @@ class MaskState:
         self.n = n
         self.rules = list(rules)
         self.generated: dict[tuple[int, int], int] = {}
-        self.rejected: set[tuple[int, int]] = set()
 
     # -- queries ------------------------------------------------------------
 
     def free_pair_count(self) -> int:
-        return self.n * (self.n - 1) // 2 - len(self.generated) - len(self.rejected)
+        return self.n * (self.n - 1) // 2 - len(self.generated)
 
     def edge_mask(self, pair) -> bool:
         """True when the pair may be proposed as the next edge."""
         pair = _norm_pair(pair)
-        if pair in self.generated or pair in self.rejected:
+        if pair in self.generated:
             return False
         return all(rule.edge_ok(self, pair) for rule in self.rules)
 
@@ -146,7 +136,7 @@ class MaskState:
         return [m for m in BOND_ORDERS if self.weight_mask(pair, m)]
 
     def candidates(self, exclude=None) -> list[tuple[int, int]]:
-        """All currently unmasked, non-generated, non-rejected pairs."""
+        """All currently unmasked, non-generated pairs."""
         ex = _norm_pair(exclude) if exclude is not None else None
         out = []
         for u in range(self.n):
@@ -157,14 +147,12 @@ class MaskState:
 
     def candidate_count(self, exclude=None) -> int:
         ex = _norm_pair(exclude) if exclude is not None else None
-        if not self.rules:
-            count = self.free_pair_count()
-            if ex is not None and ex not in self.generated and ex not in self.rejected:
-                count -= 1
-            return count
-        if len(self.rules) == 1:
+        if self.rules:
             return self.rules[0].count_allowed(self, ex)
-        return len(self.candidates(exclude=ex))
+        count = self.free_pair_count()
+        if ex is not None and ex not in self.generated:
+            count -= 1
+        return count
 
     def sample_candidates(self, rng: np.random.Generator, count: int,
                           exclude=None) -> list[tuple[int, int]]:
@@ -204,7 +192,7 @@ class MaskState:
     # -- updates ------------------------------------------------------------
 
     def commit(self, pair, order: int) -> None:
-        """Record a generated edge; rejects masked pairs and orders loudly."""
+        """Record a generated edge; a masked pair or order raises."""
         pair = _norm_pair(pair)
         if not self.edge_mask(pair):
             raise ValueError(f"commit of masked or used pair {pair}")
@@ -215,15 +203,10 @@ class MaskState:
         self.generated[pair] = order
 
     def reject(self, pair) -> None:
-        """Exclude a pair from all future candidate sets (no valid weight)."""
-        pair = _norm_pair(pair)
-        if pair in self.generated:
-            raise ValueError(f"cannot reject generated pair {pair}")
-        if pair in self.rejected:
-            return
-        for rule in self.rules:
-            rule.on_reject(self, pair)
-        self.rejected.add(pair)
+        # No decode rejects a pair.  The name stays only because
+        # perfbench/tracing.py wraps it (tests/test_bench_tracing.py checks
+        # that it resolves); once that wrap goes, so does this stub.
+        raise ValueError(f"no mask rejects a pair, got {pair}")
 
 
 def make_state(kind: str, atom_types=None, n: int | None = None,

@@ -52,7 +52,7 @@ class MolecularGraph:
     """Atom-typed undirected graph with bond orders.
 
     Bonds are normalized to sorted (u, v, order) triples with u < v; self
-    loops and duplicate pairs are rejected at construction.
+    loops and duplicate pairs raise ValueError at construction.
     """
 
     atom_types: tuple[str, ...]

@@ -237,16 +237,15 @@ def test_05_negative_sampling_partition_and_scaling(capfd):
             ok, f"worst drift {worst_rel:.3f}, time ratio {ratio:.2f}")
 
 
-def _outcome_mass(scores, atoms, budget, generated, rejected, memo):
+def _outcome_mass(scores, atoms, budget, generated, memo):
     """Total probability of every edge-loop continuation from this state.
 
     Mirrors the sampler step for step: candidates are re-queried after each
-    commit, a pair with no permitted order is rejected without spending
-    budget, and an empty candidate set ends the loop early.  States are
+    commit, and an empty candidate set ends the loop early.  States are
     replayed from scratch so rule internals stay private, and memoised on
-    (generated, rejected, budget).
+    (generated, budget).
     """
-    key = (tuple(sorted(generated.items())), tuple(sorted(rejected)), budget)
+    key = (tuple(sorted(generated.items())), budget)
     if key in memo:
         return memo[key]
     if budget == 0:
@@ -255,8 +254,6 @@ def _outcome_mass(scores, atoms, budget, generated, rejected, memo):
     state = make_state("valence", atom_types=atoms, table=DEFAULT_TABLE)
     for pair, order in generated.items():
         state.commit(pair, order)
-    for pair in rejected:
-        state.reject(pair)
     cands = state.candidates()
     if not cands:
         memo[key] = 1.0
@@ -266,17 +263,13 @@ def _outcome_mass(scores, atoms, budget, generated, rejected, memo):
     total = 0.0
     for p_edge, pair in zip(probs, cands):
         allowed = state.allowed_orders(pair)
-        if not allowed:
-            total += p_edge * _outcome_mass(scores, atoms, budget,
-                                            generated, rejected | {pair}, memo)
-            continue
         sub = _softmax_np(np.array([orders[pair][m - 1] for m in allowed]))
         for p_order, order in zip(sub, allowed):
             committed = dict(generated)
             committed[pair] = order
             total += p_edge * p_order * _outcome_mass(scores, atoms,
                                                       budget - 1, committed,
-                                                      rejected, memo)
+                                                      memo)
     memo[key] = total
     return total
 
@@ -300,7 +293,7 @@ def test_06_three_node_outcome_tree_sums_to_one(capfd):
             p_atoms = tprob[0][combo[0]] * tprob[1][combo[1]] * tprob[2][combo[2]]
             atoms = tuple(symbols[k] for k in combo)
             memo = {}
-            mass = [_outcome_mass(scores, atoms, budget, {}, frozenset(), memo)
+            mass = [_outcome_mass(scores, atoms, budget, {}, memo)
                     for budget in range(4)]
             # with three candidate pairs every run with budget >= 3 ends in
             # the same states as budget 3, so the Poisson tail reuses mass[3]

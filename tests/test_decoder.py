@@ -51,7 +51,7 @@ def _pair_scores(z, params):
 
 def _enumerate_edge_tree(scores, state, budget, acc=0.0):
     """Sum of probabilities over every edge-process outcome with ``budget``
-    steps left.  Rejections do not consume budget, matching the sampler."""
+    steps left."""
     if budget == 0:
         return math.exp(acc)
     cands = state.candidates()
@@ -64,12 +64,6 @@ def _enumerate_edge_tree(scores, state, budget, acc=0.0):
     total = 0.0
     for i, pair in enumerate(cands):
         allowed = state.allowed_orders(pair)
-        if not allowed:
-            saved = _snapshot(state)
-            state.reject(pair)
-            total += _enumerate_edge_tree(scores, state, budget, acc + logp[i])
-            _restore(state, saved)
-            continue
         sub = np.array([orders[pair][m - 1] for m in allowed])
         op = sub - sub.max()
         op = op - math.log(np.exp(op).sum())
@@ -142,57 +136,6 @@ def test_trace_logp_matches_graph_logprob():
     assert hits >= 5
 
 
-def test_trace_rejection_path_via_stub_rule():
-    """A pair can pass the edge mask yet allow no order; the sampler must
-    reject it, log the choice, and never propose it again."""
-
-    class NoOrderOnFirstPair:
-        def edge_ok(self, state, pair):
-            return True
-
-        def weight_ok(self, state, pair, order):
-            return pair != (0, 1)
-
-        def on_commit(self, state, pair, order):
-            pass
-
-        def on_reject(self, state, pair):
-            pass
-
-        def count_allowed(self, state, exclude):
-            return len(state.candidates(exclude))
-
-    params = _params(D=3, seed=1)
-    rng = np.random.default_rng(0)
-    saw_reject = False
-    for seed in range(40):
-        state = MaskState(3, rules=(NoOrderOnFirstPair(),))
-        z = np.random.default_rng(seed).standard_normal((3, 3))
-        scores, _ = _pair_scores(z, params)
-        edges = []
-        steps = []
-        local = np.random.default_rng(seed)
-        while len(edges) < 2:
-            cands = state.candidates()
-            if not cands:
-                break
-            logits = np.array([scores[pair] for pair in cands])
-            p = np.exp(logits - logits.max())
-            p /= p.sum()
-            idx = int(local.choice(len(p), p=p))
-            pair = cands[idx]
-            if not state.allowed_orders(pair):
-                state.reject(pair)
-                steps.append(("reject", pair))
-                saw_reject = True
-                assert pair not in state.candidates()
-                continue
-            state.commit(pair, 1)
-            edges.append(pair)
-        assert (0, 1) not in edges
-    assert saw_reject
-
-
 def test_sample_graph_reports_early_stop():
     params = _params(D=3, seed=3)
     # push the edge rate up so the valence mask saturates before l edges
@@ -245,8 +188,8 @@ def test_zero_truncated_node_count():
     counts = {}
     for _ in range(4000):
         g, trace = sample_graph(params, rng, lambda_n=lam, mask_kind="none")
-        assert trace.n >= 1
-        counts[trace.n] = counts.get(trace.n, 0) + 1
+        assert g.n >= 1
+        counts[g.n] = counts.get(g.n, 0) + 1
         kind, n, logp = trace.steps[0]
         assert kind == "node_count"
         hand = (n * math.log(lam) - lam - math.lgamma(n + 1)
@@ -265,7 +208,7 @@ def test_zero_truncated_node_count_small_rate_frequencies():
     lam = 0.05
     rng = np.random.default_rng(321)
     draws = 5000
-    ones = sum(sample_graph(params, rng, lambda_n=lam, mask_kind="none")[1].n == 1
+    ones = sum(sample_graph(params, rng, lambda_n=lam, mask_kind="none")[0].n == 1
                for _ in range(draws))
     p1 = lam * math.exp(-lam) / -math.expm1(-lam)
     _, p_value = chisquare([ones, draws - ones], [draws * p1, draws * (1 - p1)])
@@ -379,10 +322,6 @@ def _taped_sample_graph(params, rng, *, lambda_n=None, z=None,
         idx, logp = choice(np.array([scores[pair] for pair in cands]))
         pair = cands[idx]
         allowed = state.allowed_orders(pair)
-        if not allowed:
-            state.reject(pair)
-            steps.append(("reject", pair, logp))
-            continue
         steps.append(("edge", pair, logp))
         ol = order_scores[pair]
         oidx, ologp = choice(np.array([ol[m - 1] for m in allowed]))
@@ -402,7 +341,7 @@ def _with_biases(params, seed):
 
 
 class _NoOrderOnEveryThirdPair:
-    """Stub rule under which some proposed pairs allow no order."""
+    """Stub rule under which some proposable pairs allow no order."""
 
     def edge_ok(self, state, pair):
         return True
@@ -413,19 +352,13 @@ class _NoOrderOnEveryThirdPair:
     def on_commit(self, state, pair, order):
         pass
 
-    def on_reject(self, state, pair):
-        pass
-
     def count_allowed(self, state, exclude):
         return len(state.candidates(exclude))
 
 
-@pytest.mark.parametrize("mask_kind", MASK_KINDS + ("rejecting",))
+@pytest.mark.parametrize("mask_kind", MASK_KINDS)
 @pytest.mark.parametrize("entry", ["lambda_n", "n", "z"])
-def test_sampler_matches_taped_reference(monkeypatch, mask_kind, entry):
-    if mask_kind == "rejecting":
-        monkeypatch.setattr(decoder, "make_state", lambda kind, atom_types, table:
-                            MaskState(len(atom_types), [_NoOrderOnEveryThirdPair()]))
+def test_sampler_matches_taped_reference(mask_kind, entry):
     params = _with_biases(_params(D=4, seed=61), seed=62)
     params.b_count_out = T.Tensor(2.0)  # enough edges to saturate masks
     kinds = set()
@@ -450,8 +383,6 @@ def test_sampler_matches_taped_reference(monkeypatch, mask_kind, entry):
             assert abs(lp - ref_lp) <= 1e-12
         kinds.update(kind for kind, _, _ in trace.steps)
     assert {"feature", "edge_count", "edge", "order"} <= kinds
-    if mask_kind == "rejecting":
-        assert "reject" in kinds
 
 
 def test_heads_match_per_pair_reference():
@@ -710,8 +641,12 @@ def test_graph_logprob_equals_step_composition(monkeypatch, mask_kind, partition
     scored = 0
     for seed in range(30):
         z0 = rng.standard_normal((int(rng.integers(2, 11)), 4))
-        g, trace = sample_graph(params, rng, z=z0, mask_kind=sample_kind)
-        seq = [(u, v) for u, v, _ in trace.edges]
+        if mask_kind == "rejecting":
+            # the sampler cannot decode a pair the stub gives no order
+            g, seq = _walkable_molecule(rng, len(z0), sample_kind)
+        else:
+            g, trace = sample_graph(params, rng, z=z0, mask_kind=sample_kind)
+            seq = [(u, v) for u, v, _ in trace.edges]
         seq = [seq[i] for i in rng.permutation(len(seq))]
         plist = [t for _, t in params.tensors()] + [T.Tensor(z0)]
         fused_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)

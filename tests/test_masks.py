@@ -19,14 +19,13 @@ def test_none_kind_bookkeeping():
     s.commit((0, 1), 3)
     assert not s.edge_mask((1, 0))
     assert s.candidate_count() == 5
-    s.reject((2, 3))
-    assert s.candidate_count() == 4
-    assert s.candidate_count(exclude=(0, 2)) == 3
+    assert s.candidate_count(exclude=(0, 2)) == 4
+    assert s.candidate_count(exclude=(0, 1)) == 5  # generated: no candidate
     _commit_count_invariant(s)
     with pytest.raises(ValueError):
         s.commit((0, 1), 1)  # already generated
     with pytest.raises(ValueError):
-        s.commit((2, 3), 1)  # rejected
+        s.reject((2, 3))  # no mask rejects a pair
     with pytest.raises(ValueError):
         s.edge_mask((1, 1))
 
@@ -74,9 +73,6 @@ def _random_decode(state, rng, orders=(1, 2, 3)):
             return edges
         pair = cands[rng.integers(len(cands))]
         allowed = state.allowed_orders(pair)
-        if not allowed:
-            state.reject(pair)
-            continue
         order = allowed[rng.integers(len(allowed))]
         state.commit(pair, order)
         edges.append((*pair, order))
@@ -160,13 +156,7 @@ def test_candidate_count_matches_enumeration_under_churn():
                 if not cands:
                     break
                 pair = cands[rng.integers(len(cands))]
-                if rng.random() < 0.25:
-                    state.reject(pair)
-                    continue
                 allowed = state.allowed_orders(pair)
-                if not allowed:
-                    state.reject(pair)
-                    continue
                 state.commit(pair, allowed[rng.integers(len(allowed))])
             _commit_count_invariant(state)
             cands = state.candidates()
@@ -212,7 +202,6 @@ def test_conjunction_of_rules():
     state.commit((0, 2), 1)
     # (1,2) blocked by both rules: H exhausted and triangle closure
     assert not state.edge_mask((1, 2))
-    assert state.candidate_count() == 0
     assert state.candidates() == []
 
 

@@ -370,9 +370,9 @@ def test_elbo_node_term_is_the_sampler_law(monkeypatch):
     model = init_model(np.random.default_rng(21), hyper, lambda_n=0.7)
     rng = np.random.default_rng(22)
     while True:
-        _, trace = sample_graph(model.decoder, rng, lambda_n=model.lambda_n,
-                                mask_kind="none")
-        if trace.n == 3:
+        drawn, trace = sample_graph(model.decoder, rng, lambda_n=model.lambda_n,
+                                    mask_kind="none")
+        if drawn.n == 3:
             break
     (kind, n, sampler_logp), = [s for s in trace.steps if s[0] == "node_count"]
     assert (kind, n) == ("node_count", 3)
