@@ -104,8 +104,8 @@ class TriangleFreeRule:
 
 
 class MaskState:
-    """Pair/order masks for one decode: the generated pairs and at most one
-    rule, which ``candidate_count`` counts through (none for ``none``)."""
+    """Pair/order masks for one decode: the generated pairs and the rules
+    of its kind, composed by conjunction (``make_state`` builds at most one)."""
 
     def __init__(self, n: int, rules=()):
         if n < 1:
@@ -147,6 +147,8 @@ class MaskState:
 
     def candidate_count(self, exclude=None) -> int:
         ex = _norm_pair(exclude) if exclude is not None else None
+        if len(self.rules) > 1:
+            return len(self.candidates(exclude=ex))
         if self.rules:
             return self.rules[0].count_allowed(self, ex)
         count = self.free_pair_count()

@@ -202,7 +202,16 @@ def test_conjunction_of_rules():
     state.commit((0, 2), 1)
     # (1,2) blocked by both rules: H exhausted and triangle closure
     assert not state.edge_mask((1, 2))
+    assert state.candidate_count() == 0
     assert state.candidates() == []
+    # a pair one rule allows and the other forbids is counted by neither
+    state = K.MaskState(4, [K.ValenceRule(("C",) * 4, ValenceTable()),
+                           K.TriangleFreeRule(4)])
+    state.commit((0, 1), 1)
+    state.commit((1, 2), 1)
+    assert (0, 2) not in state.candidates()
+    for ex in (None, (0, 3), (0, 2)):
+        _commit_count_invariant(state, exclude=ex)
 
 
 def test_unknown_kind_rejected():
