@@ -84,12 +84,13 @@ def _require_file(path, what: str) -> Path:
     return p
 
 
-def _load_corpus(args, check=None):
-    """The --corpus molecules; a record that does not parse, or that
-    ``check`` rejects (see ``parse_corpus``), is a usage error."""
+def _load_corpus(args, table=None, check=None):
+    """The --corpus molecules over ``table``'s alphabet; a record that does
+    not parse, or that ``check`` rejects (see ``parse_corpus``), is a usage
+    error."""
     path = _require_file(args.corpus, "corpus")
     try:
-        graphs = parse_corpus(path, check=check)
+        graphs = parse_corpus(path, table, check)
     except ValueError as err:
         raise UsageError(str(err)) from err
     if not graphs:
@@ -185,7 +186,7 @@ def _hyper_from(args, **overrides) -> Hyperparams:
 
 
 def cmd_train(args) -> int:
-    corpus = _load_corpus(args, partial(_mask_admits, args.mask_kind))
+    corpus = _load_corpus(args, check=partial(_mask_admits, args.mask_kind))
     hyper = _hyper_from(args)
     rows = []
     ckpt = train(corpus, hyper,
@@ -223,7 +224,7 @@ def _parse_mode(raw: str, n_corpus: int):
 
 def cmd_sample(args) -> int:
     ckpt = _load_checkpoint(args)
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args, ckpt.model.table)
     count = args.count
     mode, idx = _parse_mode(args.mode, len(corpus))
     model = ckpt.model
@@ -273,7 +274,7 @@ def _decode_and_write(args, model, rng, dot_prefix: str, column: str,
 
 def cmd_interpolate(args) -> int:
     model = _load_checkpoint(args).model
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args, model.table)
     ga = _corpus_molecule(corpus, args.mol_a, "--mol-a")
     gb = _corpus_molecule(corpus, args.mol_b, "--mol-b")
     if ga.n != gb.n:
@@ -294,7 +295,7 @@ def cmd_interpolate(args) -> int:
 
 def cmd_perturb(args) -> int:
     model = _load_checkpoint(args).model
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args, model.table)
     g0 = _corpus_molecule(corpus, args.mol, "--mol")
     node = args.node
     if not 0 <= node < g0.n:
@@ -451,15 +452,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bo(args) -> int:
-    ckpt = _load_checkpoint(args)
-    corpus = _load_corpus(args, partial(_valence_admits, ckpt.model.table))
+    model = _load_checkpoint(args).model
+    table = model.table
+    corpus = _load_corpus(args, table, partial(_valence_admits, table))
     if len(corpus) < 3:
         raise UsageError("bo needs a corpus of at least 3 molecules")
-    model = ckpt.model
     embeddings = np.array([
-        molecule_embedding(posterior(g, model.encoder, model.table))
+        molecule_embedding(posterior(g, model.encoder, table))
         for g in corpus])
-    oracle = partial(proxy_property, lambda_n=model.lambda_n)
+    oracle = partial(proxy_property, lambda_n=model.lambda_n, table=table)
     scores = np.array([oracle(g) for g in corpus])
 
     rng = np.random.default_rng(args.seed)
@@ -477,7 +478,8 @@ def cmd_bo(args) -> int:
         np.random.default_rng(args.seed + 1), mask_kind=args.mask_kind)
     result = bo_loop(x_tr, y_tr, decode_fn=decode, oracle=oracle,
                      iters=args.iters, batch=args.batch_size,
-                     seed=args.seed, n_inducing=n_inducing)
+                     seed=args.seed, n_inducing=n_inducing,
+                     valid_fn=lambda g: g.n >= 1 and valence_ok(g, table))
     # the held-out fit is iteration 0's GP: the training rows, same seed
     mean_te, _ = sgp_predict(result.initial_model, x_te)
     rmse = float(np.sqrt(np.mean((mean_te - y_te) ** 2)))

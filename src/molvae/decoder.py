@@ -200,8 +200,7 @@ def _edge_terms(state: MaskState, pair, n: int, L: int,
     """Flat edge-score indices of one negative-sampled edge step's softmax
     terms, the true pair first, with the constant added to each term;
     (None, None) when no other candidate remains, a certain step."""
-    pool = state.candidate_count(exclude=pair)
-    negs = state.sample_candidates(rng, L, exclude=pair)
+    pool, negs = state.sample_candidates(rng, L, exclude=pair)
     if not negs:
         return None, None
     offset = np.full(len(negs) + 1, math.log(pool / len(negs)))
@@ -379,8 +378,8 @@ def plan_edges(g: MolecularGraph, edge_sequence, partition: str = "exact",
     """Walk the mask along ``edge_sequence``, the (u, v) pairs covering
     g.bonds exactly once in the order the decoder is charged for them.
 
-    Per pair: ``edge_mask``, then, negative-sampled, ``candidate_count``
-    and ``sample_candidates`` from ``rng``, then ``allowed_orders`` and
+    Per pair: ``edge_mask``, then, negative-sampled, ``sample_candidates``
+    from ``rng`` (which counts the pool once), then ``allowed_orders`` and
     ``commit``; the per-step reference in ``tests/test_decoder.py`` makes
     the same calls in the same order, so it draws the same negatives.
     Exact, ``candidates`` runs once, before the first commit, and

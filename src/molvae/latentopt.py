@@ -39,8 +39,8 @@ from .encoder import posterior, sample_latent
 # canonical_certificate is unused here but stays: the benchmark's tracer
 # wraps latentopt.canonical_certificate by name.
 from .molgraph import (DEFAULT_TABLE, MolecularGraph, _certificate_or_none,
-                       canonical_certificate, connected_components,
-                       valence_ok)
+                       ValenceTable, canonical_certificate,
+                       connected_components, valence_ok)
 
 JITTERS = (1e-10, 1e-8, 1e-6)  # K_uu's added diagonal, in units of s2f
 HYPER_BOX = 5.0  # half-width of the log-hyperparameter search box
@@ -439,14 +439,16 @@ def _min_cycle_basis_lengths(g: MolecularGraph) -> list[int]:
     return sorted(lengths)
 
 
-def proxy_property(g: MolecularGraph, lambda_n: float = 8.0) -> float:
+def proxy_property(g: MolecularGraph, lambda_n: float = 8.0,
+                   table: ValenceTable | None = None) -> float:
     """Stand-in property score: reward connectivity-dense molecules, punish
-    long rings and sizes far from the corpus norm.
+    long rings and sizes far from the corpus norm; defined for a molecule
+    within the valences of ``table``.
 
     mean degree - 0.5 * (cycles in a minimum basis longer than 6)
                 - 0.1 * |n - lambda_n|
     """
-    if g.n < 1 or not valence_ok(g):
+    if g.n < 1 or not valence_ok(g, table):
         raise ValueError("score undefined for a molecule violating valence")
     mean_degree = 2.0 * len(g.bonds) / g.n
     long_cycles = sum(1 for length in _min_cycle_basis_lengths(g) if length > 6)

@@ -7,12 +7,16 @@ endpoints, bond orders must fit the smaller remaining valence), and
 ``triangle_free`` (no edge may close a triangle).  Under each, a pair that
 passes the edge mask admits a single bond.
 
-Candidate counting and uniform candidate sampling avoid enumerating the
-O(n^2) pair universe in the common cases, which keeps likelihood evaluation
-with negative sampling linear in the edge count.
+A candidate count enumerates no pairs: O(1) under ``none``, O(generated
+pairs) under ``valence``, O(sum of squared degrees) under ``triangle_free``.
+Drawing L negatives from a pool above 3L takes O(L n^2 / pool) random pairs
+in expectation (O(L) while the pool is a fixed share of all pairs), at most
+30 L + 100, then enumerates any shortfall; a smaller pool is enumerated.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -38,25 +42,22 @@ class ValenceRule:
         u, v = pair
         return self.remaining[u] >= 1 and self.remaining[v] >= 1
 
-    def weight_ok(self, state, pair, order) -> bool:
+    def max_order(self, state, pair) -> int:
         u, v = pair
-        return order <= self.remaining[u] and order <= self.remaining[v]
+        return min(self.remaining[u], self.remaining[v])
 
     def on_commit(self, state, pair, order) -> None:
         u, v = pair
         self.remaining[u] -= order
         self.remaining[v] -= order
 
-    def count_allowed(self, state, exclude) -> int:
+    def count_allowed(self, state) -> int:
         open_nodes = self.remaining >= 1
         a = int(open_nodes.sum())
         count = a * (a - 1) // 2
         for (u, v) in state.generated:
             if open_nodes[u] and open_nodes[v]:
                 count -= 1
-        if exclude is not None and open_nodes[exclude[0]] and open_nodes[exclude[1]] \
-                and exclude not in state.generated:
-            count -= 1
         return count
 
 
@@ -65,42 +66,25 @@ class TriangleFreeRule:
 
     def __init__(self, n: int):
         self.adj = [set() for _ in range(n)]
-        self.common = {}       # free pair -> number of shared neighbors
-        self.masked_free = 0   # free pairs with common > 0
 
     def edge_ok(self, state, pair) -> bool:
         u, v = pair
         return not (self.adj[u] & self.adj[v])
 
-    def weight_ok(self, state, pair, order) -> bool:
-        return True
-
-    def _bump(self, state, pair) -> None:
-        pair = _norm_pair(pair)
-        c = self.common.get(pair, 0)
-        self.common[pair] = c + 1
-        if c == 0 and pair not in state.generated:
-            self.masked_free += 1
+    def max_order(self, state, pair) -> int:
+        return BOND_ORDERS[-1]
 
     def on_commit(self, state, pair, order) -> None:
         u, v = pair
-        for w in self.adj[u]:
-            self._bump(state, (v, w))
-        for w in self.adj[v]:
-            self._bump(state, (u, w))
-        if self.common.get(pair, 0) > 0:
-            # pair leaves the free universe (state.generated gains it)
-            self.masked_free -= 1
         self.adj[u].add(v)
         self.adj[v].add(u)
 
-    def count_allowed(self, state, exclude) -> int:
-        count = state.free_pair_count() - self.masked_free
-        if exclude is not None:
-            ex = _norm_pair(exclude)
-            if ex not in state.generated and self.common.get(ex, 0) == 0:
-                count -= 1
-        return count
+    def count_allowed(self, state) -> int:
+        # the pairs two neighbours of one node form; a generated pair among
+        # them would close a triangle, so none is generated
+        shared = set().union(*(itertools.combinations(sorted(nbrs), 2)
+                               for nbrs in self.adj if len(nbrs) > 1))
+        return state.free_pair_count() - len(shared)
 
 
 class MaskState:
@@ -126,14 +110,12 @@ class MaskState:
             return False
         return all(rule.edge_ok(self, pair) for rule in self.rules)
 
-    def weight_mask(self, pair, order: int) -> bool:
-        pair = _norm_pair(pair)
-        if order not in BOND_ORDERS:
-            raise ValueError(f"bond order {order} not in {BOND_ORDERS}")
-        return all(rule.weight_ok(self, pair, order) for rule in self.rules)
-
     def allowed_orders(self, pair) -> list[int]:
-        return [m for m in BOND_ORDERS if self.weight_mask(pair, m)]
+        """The bond orders up to the smallest of the rules' caps."""
+        pair = _norm_pair(pair)
+        cap = min((rule.max_order(self, pair) for rule in self.rules),
+                  default=BOND_ORDERS[-1])
+        return [m for m in BOND_ORDERS if m <= cap]
 
     def candidates(self, exclude=None) -> list[tuple[int, int]]:
         """All currently unmasked, non-generated pairs."""
@@ -146,19 +128,23 @@ class MaskState:
         return out
 
     def candidate_count(self, exclude=None) -> int:
-        ex = _norm_pair(exclude) if exclude is not None else None
+        """``len(candidates(exclude))``, enumerating no pairs unless the
+        state holds several rules."""
         if len(self.rules) > 1:
-            return len(self.candidates(exclude=ex))
-        if self.rules:
-            return self.rules[0].count_allowed(self, ex)
-        count = self.free_pair_count()
-        if ex is not None and ex not in self.generated:
+            count = len(self.candidates())
+        elif self.rules:
+            count = self.rules[0].count_allowed(self)
+        else:
+            count = self.free_pair_count()
+        # a pair leaves the pool exactly when it is a candidate
+        if exclude is not None and self.edge_mask(exclude):
             count -= 1
         return count
 
     def sample_candidates(self, rng: np.random.Generator, count: int,
-                          exclude=None) -> list[tuple[int, int]]:
-        """Distinct uniform draws from the candidate set, at most pool size.
+                          exclude=None) -> tuple[int, list[tuple[int, int]]]:
+        """The pool size, ``candidate_count(exclude)``, and distinct uniform
+        draws from that pool, ``count`` of them or the whole pool if smaller.
 
         Rejection-samples random pairs while the pool is large relative to
         the request, falling back to explicit enumeration otherwise.
@@ -166,11 +152,11 @@ class MaskState:
         pool = self.candidate_count(exclude=exclude)
         k = min(count, pool)
         if k <= 0:
-            return []
+            return pool, []
         if 3 * k >= pool:
             cands = self.candidates(exclude=exclude)
             idx = rng.choice(len(cands), size=k, replace=False)
-            return [cands[i] for i in sorted(idx)]
+            return pool, [cands[i] for i in sorted(idx)]
         ex = _norm_pair(exclude) if exclude is not None else None
         chosen: set[tuple[int, int]] = set()
         budget = 30 * k + 100
@@ -189,7 +175,7 @@ class MaskState:
             need = k - len(chosen)
             idx = rng.choice(len(cands), size=need, replace=False)
             chosen.update(cands[i] for i in idx)
-        return sorted(chosen)
+        return pool, sorted(chosen)
 
     # -- updates ------------------------------------------------------------
 
@@ -198,7 +184,9 @@ class MaskState:
         pair = _norm_pair(pair)
         if not self.edge_mask(pair):
             raise ValueError(f"commit of masked or used pair {pair}")
-        if not self.weight_mask(pair, order):
+        if order not in BOND_ORDERS:
+            raise ValueError(f"bond order {order} not in {BOND_ORDERS}")
+        if order not in self.allowed_orders(pair):
             raise ValueError(f"commit of masked order {order} on pair {pair}")
         for rule in self.rules:
             rule.on_commit(self, pair, order)

@@ -375,8 +375,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     The tensors must be exactly those, in the shapes, that ``hyper`` and
     ``alphabet`` imply, each listed once at the offset and size of the
-    packed layout, with no bytes after the last.  Any damage raises
-    ValueError naming the file and the field.
+    packed layout, with no bytes after the last, and every value finite.
+    Any damage raises ValueError naming the file and the field.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -435,6 +435,8 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(blob[start:start + size * 8], dtype="<f8")
         if arr.size != size:
             raise ValueError(f"{path}: truncated tensor {name!r}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
         t.data = arr.reshape(t.shape).copy()
         start += size * 8
     if len(blob) > start:

@@ -16,9 +16,10 @@ from molvae import cli, latentopt
 from molvae.cli import main, ranking_agreement
 from molvae.encoder import posterior
 from molvae.latentopt import molecule_embedding, proxy_property
-from molvae.training import load_checkpoint
-from molvae.molgraph import (DEFAULT_TABLE, MolecularGraph, parse_corpus,
-                             random_molecule, write_corpus)
+from molvae.training import (Checkpoint, Hyperparams, init_model,
+                             load_checkpoint, save_checkpoint)
+from molvae.molgraph import (DEFAULT_TABLE, MolecularGraph, ValenceTable,
+                             parse_corpus, random_molecule, write_corpus)
 from test_certificate_budget import tetra_tert_butyl_methane
 
 
@@ -192,6 +193,26 @@ def test_sample_damaged_checkpoint_header(workspace, tmp_path, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert str(bad) in err and field in err
+
+
+@pytest.mark.parametrize("subcommand", ["sample", "bo"])
+def test_non_finite_checkpoint_weight_exits_2(workspace, tmp_path, capsys,
+                                              subcommand):
+    with open(workspace["checkpoint"], "rb") as fh:
+        header_line, _, blob = fh.read().partition(b"\n")
+    entry = next(e for e in json.loads(header_line)["tensors"]
+                 if e["name"] == "dec.w_edge")
+    blob = bytearray(blob)
+    blob[entry["offset"]:entry["offset"] + 8] = np.float64(np.nan).tobytes()
+    bad = tmp_path / "nan.bin"
+    bad.write_bytes(header_line + b"\n" + bytes(blob))
+    out = tmp_path / "out"
+    assert main([subcommand, "--corpus", workspace["corpus_path"],
+                 "--checkpoint", str(bad), "--seed", "1",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: tensor 'dec.w_edge' holds a non-finite value" in err
+    assert not out.exists()
 
 
 def test_interpolate_outputs(workspace, tmp_path):
@@ -485,6 +506,54 @@ def test_corpus_molecule_the_subcommand_cannot_use_exits_2(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{path}: corpus line 2: {reason}" in err
+    assert not out.exists()
+
+
+def _untrained_checkpoint(tmp_path, limits):
+    """A checkpoint over the atom alphabet ``limits``, straight from
+    ``init_model``."""
+    table = ValenceTable(limits)
+    hyper = Hyperparams(D=len(limits), K=2, L=5)
+    model = init_model(np.random.default_rng(0), hyper, table, lambda_n=3.0)
+    path = tmp_path / "alphabet.bin"
+    save_checkpoint(path, Checkpoint(model, hyper, 0))
+    return path
+
+
+THIOL = {"atoms": ["C", "S", "H"], "bonds": [[0, 1, 1], [1, 2, 1]]}
+
+
+@pytest.mark.parametrize("subcommand, flags", [
+    ("sample", ["--count", "3", "--mode", "posterior:1"]),
+    ("interpolate", ["--mol-a", "1", "--mol-b", "3", "--steps", "2"]),
+    ("perturb", ["--mol", "1", "--node", "1"]),
+    ("bo", ["--iters", "1"]),
+])
+def test_corpus_reads_under_the_checkpoint_alphabet(tmp_path, subcommand,
+                                                    flags):
+    ckpt = _untrained_checkpoint(
+        tmp_path, {"C": 4, "H": 1, "N": 3, "O": 2, "S": 6})
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n"
+                            for r in (ETHANOL, THIOL, ETHANOL, THIOL)))
+    assert main([subcommand, "--corpus", str(path), "--checkpoint", str(ckpt),
+                 "--seed", "0", "--out-dir", str(tmp_path / "out"),
+                 *flags]) == 0
+
+
+def test_corpus_atom_outside_the_checkpoint_alphabet_exits_2(tmp_path,
+                                                              capsys):
+    ckpt = _untrained_checkpoint(tmp_path, {"C": 4, "H": 1})
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"atoms": ["C", "N"], "bonds": [[0, 1, 1]]})
+                    + "\n")
+    out = tmp_path / "out"
+    assert main(["sample", "--corpus", str(path), "--checkpoint", str(ckpt),
+                 "--seed", "0", "--mode", "posterior:0",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: corpus line 1:" in err
+    assert "unknown atom symbol 'N'" in err
     assert not out.exists()
 
 

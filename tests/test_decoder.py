@@ -341,19 +341,20 @@ def _with_biases(params, seed):
 
 
 class _NoOrderOnEveryThirdPair:
-    """Stub rule under which some proposable pairs allow no order."""
+    """Stub rule under which some proposable pairs allow no order: a cap
+    of 0 on every third pair."""
 
     def edge_ok(self, state, pair):
         return True
 
-    def weight_ok(self, state, pair, order):
-        return sum(pair) % 3 != 0
+    def max_order(self, state, pair):
+        return 0 if sum(pair) % 3 == 0 else 3
 
     def on_commit(self, state, pair, order):
         pass
 
-    def count_allowed(self, state, exclude):
-        return len(state.candidates(exclude))
+    def count_allowed(self, state):
+        return len(state.candidates())
 
 
 @pytest.mark.parametrize("mask_kind", MASK_KINDS)
@@ -573,8 +574,7 @@ def edge_step_logprob(h, state, pair, partition="exact", L=10, rng=None):
     if partition == "exact":
         terms = T.gather_rows(h.edges, [u * n + v for u, v in state.candidates()])
     else:
-        pool = state.candidate_count(exclude=pair)
-        negs = state.sample_candidates(rng, L, exclude=pair)
+        pool, negs = state.sample_candidates(rng, L, exclude=pair)
         if not negs:
             return T.Tensor(0.0)
         offset = np.full(len(negs) + 1, math.log(pool / len(negs)))

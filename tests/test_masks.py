@@ -140,7 +140,7 @@ def test_valence_completeness_enumeration():
                 state = K.make_state("valence", atom_types=atoms)
                 for u, v, o in chosen:
                     assert state.edge_mask((u, v))
-                    assert state.weight_mask((u, v), o)
+                    assert o in state.allowed_orders((u, v))
                     state.commit((u, v), o)
 
 
@@ -168,7 +168,8 @@ def test_sample_candidates_uniform_and_distinct():
     rng = np.random.default_rng(3)
     state = K.make_state("none", n=30)
     state.commit((0, 1), 1)
-    draws = state.sample_candidates(rng, 40, exclude=(2, 3))
+    pool, draws = state.sample_candidates(rng, 40, exclude=(2, 3))
+    assert pool == state.candidate_count(exclude=(2, 3))
     assert len(draws) == 40
     assert len(set(draws)) == 40
     assert (0, 1) not in draws and (2, 3) not in draws
@@ -177,7 +178,7 @@ def test_sample_candidates_uniform_and_distinct():
     counts = {}
     trials = 4000
     for _ in range(trials):
-        for pair in state.sample_candidates(rng, 3, exclude=(2, 3)):
+        for pair in state.sample_candidates(rng, 3, exclude=(2, 3))[1]:
             counts[pair] = counts.get(pair, 0) + 1
     pool = state.candidate_count(exclude=(2, 3))
     expected = trials * 3 / pool
@@ -190,9 +191,9 @@ def test_sample_candidates_uniform_and_distinct():
 def test_sample_candidates_exhausts_small_pools():
     rng = np.random.default_rng(4)
     state = K.make_state("none", n=3)
-    assert sorted(state.sample_candidates(rng, 10)) == [(0, 1), (0, 2), (1, 2)]
+    assert state.sample_candidates(rng, 10) == (3, [(0, 1), (0, 2), (1, 2)])
     state.commit((0, 1), 1)
-    assert state.sample_candidates(rng, 10, exclude=(0, 2)) == [(1, 2)]
+    assert state.sample_candidates(rng, 10, exclude=(0, 2)) == (1, [(1, 2)])
 
 
 def test_conjunction_of_rules():

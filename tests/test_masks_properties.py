@@ -1,8 +1,12 @@
-"""Property tests: MaskState's incremental bookkeeping against brute force.
+"""Property tests: MaskState's books against brute force.
 
-Random commit sequences drive each built-in mask kind; after every step
-the O(1)/O(edges) counters must agree with explicit enumeration, and every
-candidate pair must allow a single bond, under any valence table.
+Random commit sequences drive each built-in mask kind.  After every step
+the candidate count (no enumeration for a one-rule state), the pool that
+``sample_candidates`` reports and its draws must agree with explicit
+enumeration; the allowed bond orders must be those up to the smaller spare
+valence recomputed from the committed bonds (every order without a
+valence rule); and every candidate pair must allow a single bond, under
+any valence table.
 """
 
 import itertools
@@ -12,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molvae import masks as K
-from molvae.molgraph import DEFAULT_TABLE, ValenceTable
+from molvae.molgraph import BOND_ORDERS, DEFAULT_TABLE, ValenceTable
 
 SETTINGS = settings(max_examples=100)
 
@@ -21,18 +25,7 @@ TABLES = st.dictionaries(st.sampled_from(["B", "F", "P", "S", "Si", "Cl", "Xe"])
                          st.integers(1, 4), min_size=2, max_size=5).map(ValenceTable)
 
 
-def _brute_masked_free(state, rule):
-    """Free pairs whose endpoints already share a generated neighbour."""
-    count = 0
-    for u, v in itertools.combinations(range(state.n), 2):
-        if (u, v) in state.generated:
-            continue
-        if rule.adj[u] & rule.adj[v]:
-            count += 1
-    return count
-
-
-def _check_invariants(state, kind, data):
+def _check_invariants(state, data):
     pairs = list(itertools.combinations(range(state.n), 2))
     excludes = [None] + ([data.draw(st.sampled_from(pairs))] if pairs else [])
     for ex in excludes:
@@ -40,13 +33,11 @@ def _check_invariants(state, kind, data):
         assert state.candidate_count(exclude=ex) == len(cands)
         want = data.draw(st.integers(0, len(cands) + 2))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-        drawn = state.sample_candidates(rng, want, exclude=ex)
+        pool, drawn = state.sample_candidates(rng, want, exclude=ex)
+        assert pool == len(cands)
         assert len(drawn) == min(want, len(cands))
         assert len(set(drawn)) == len(drawn)
         assert set(drawn) <= set(cands)
-    if kind == "triangle_free":
-        rule = state.rules[0]
-        assert rule.masked_free == _brute_masked_free(state, rule)
 
 
 @SETTINGS
@@ -55,14 +46,14 @@ def _check_invariants(state, kind, data):
        data=st.data())
 def test_mask_counters_match_enumeration(kind, atoms, data):
     state = K.make_state(kind, atom_types=atoms)
-    _check_invariants(state, kind, data)
+    _check_invariants(state, data)
     for _ in range(data.draw(st.integers(0, 25))):
         cands = state.candidates()
         if not cands:
             break
         pair = data.draw(st.sampled_from(cands))
         state.commit(pair, data.draw(st.sampled_from(state.allowed_orders(pair))))
-        _check_invariants(state, kind, data)
+        _check_invariants(state, data)
 
 
 @SETTINGS
@@ -81,6 +72,33 @@ def test_every_candidate_admits_a_single_bond(kind, table, data):
         for pair in cands:
             assert 1 in state.allowed_orders(pair)
         if step == steps or not cands:
+            break
+        pair = data.draw(st.sampled_from(cands))
+        state.commit(pair, data.draw(st.sampled_from(state.allowed_orders(pair))))
+
+
+@SETTINGS
+@given(kind=st.sampled_from(K.MASK_KINDS), table=TABLES, data=st.data())
+def test_allowed_orders_fit_the_spare_valence(kind, table, data):
+    """Under ``valence`` an order is allowed exactly when it fits the
+    smaller spare valence of the pair, recomputed from the committed bonds;
+    under the other kinds every order is allowed."""
+    atoms = data.draw(st.lists(st.sampled_from(table.symbols),
+                               min_size=2, max_size=9))
+    state = K.make_state(kind, atom_types=atoms, table=table)
+    for _ in range(data.draw(st.integers(0, 25)) + 1):
+        used = [0] * len(atoms)
+        for (u, v), order in state.generated.items():
+            used[u] += order
+            used[v] += order
+        for u, v in itertools.combinations(range(len(atoms)), 2):
+            allowed = state.allowed_orders((u, v))
+            spare = min(table.max_valence(atoms[u]) - used[u],
+                        table.max_valence(atoms[v]) - used[v])
+            for m in BOND_ORDERS:
+                assert (m in allowed) == (m <= spare or kind != "valence")
+        cands = state.candidates()
+        if not cands:
             break
         pair = data.draw(st.sampled_from(cands))
         state.commit(pair, data.draw(st.sampled_from(state.allowed_orders(pair))))

@@ -590,3 +590,16 @@ def test_checkpoint_detects_truncation(tmp_path):
         fh.write(blob[:-16])
     with pytest.raises(ValueError, match="truncated"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_checkpoint_rejects_non_finite_weights(tmp_path, value):
+    hyper = _tiny_hyper()
+    model = init_model(np.random.default_rng(16), hyper, lambda_n=4.0)
+    dict(model.tensors())["dec.w_edge"].data.flat[1] = value
+    path = os.path.join(tmp_path, "model.ckpt")
+    save_checkpoint(path, Checkpoint(model, hyper, 0))
+    with pytest.raises(ValueError,
+                       match="tensor 'dec.w_edge' holds a non-finite value") as exc:
+        load_checkpoint(path)
+    assert path in str(exc.value)
